@@ -16,11 +16,11 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InstantiationError, UnknownPredicateError
+from .errors import CyclicTermError, InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
-from .unify import (EMPTY, RenameCounter, Substitution, clause_variables,
+from .unify import (RenameCounter, Substitution, clause_variables,
                     rename_clause, unify)
 
 
@@ -54,8 +54,9 @@ class SearchNode:
     status: NodeStatus = NodeStatus.OPEN
     label: EdgeLabel = EMPTY_LABEL
     children: list["SearchNode"] = field(default_factory=list)
-    # mgu of the edge leading here; composed along a path it yields answers
-    subst: Substitution = EMPTY
+    # image of the tree's query variables on the path to this node, or the
+    # cyclic-term error met building it, raised only if a success leaf needs it
+    answer: tuple[Term, ...] | CyclicTermError = ()
     # variable display names visible on the path so far, for renaming
     names: frozenset[str] | None = None
     # barriers attached before expansion (negation probes)
@@ -269,7 +270,8 @@ class _Builder:
         return children
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
-        return SearchNode(goals, names=node.names | _names_of(goals, EMPTY_LABEL))
+        return SearchNode(goals, answer=node.answer,
+                          names=node.names | _names_of(goals, EMPTY_LABEL))
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, barrier: int) -> SearchNode:
@@ -289,8 +291,14 @@ class _Builder:
             return _fail_leaf()
         body = _tag_cuts(renamed.body, barrier)
         goals = sigma.apply_goals(body + rest)
+        answer = node.answer
+        if isinstance(answer, tuple):
+            try:
+                answer = tuple(sigma.apply(t) for t in answer)
+            except CyclicTermError as e:
+                answer = e
         label = _label_for(call.term, sigma)
-        return SearchNode(goals, label=label, subst=sigma,
+        return SearchNode(goals, label=label, answer=answer,
                           names=node.names | _names_of(goals, label))
 
 
@@ -303,7 +311,8 @@ def build_tree(program: Program, query: GoalSeq,
     limits = limits or Limits()
     options = options or EngineOptions()
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
-    root = SearchNode(_tag_cuts(query, 0), pre_barriers=frozenset((0,)))
+    root = SearchNode(_tag_cuts(query, 0), answer=qvars,
+                      pre_barriers=frozenset((0,)))
     builder = _Builder(program, limits, options)
     builder.run(root)
     return SearchTree(root, builder.truncated, qvars)
@@ -324,17 +333,16 @@ def expand(node: SearchNode, program: Program,
 def solutions(tree: SearchTree) -> list[Answer]:
     """Success-leaf answers in depth-first (left-to-right) order."""
     out: list[Answer] = []
-    stack: list[tuple[SearchNode, Substitution, tuple[int, ...]]] = [
-        (tree.root, EMPTY, ())]
+    stack: list[tuple[SearchNode, tuple[int, ...]]] = [(tree.root, ())]
     while stack:
-        node, sigma, path = stack.pop()
+        node, path = stack.pop()
         if node.status is NodeStatus.SUCCESS:
-            resolved = ((v, sigma.apply(v)) for v in tree.query_vars)
+            if isinstance(node.answer, CyclicTermError):
+                raise node.answer
             # a query variable left unbound is not an answer binding
-            out.append(Answer(
-                tuple((v, t) for v, t in resolved if t != v), path))
+            out.append(Answer(tuple(
+                (v, t) for v, t in zip(tree.query_vars, node.answer) if t != v),
+                path))
         for i in range(len(node.children) - 1, -1, -1):
-            child = node.children[i]
-            s2 = sigma if child.subst.is_empty else sigma.compose(child.subst)
-            stack.append((child, s2, path + (i,)))
+            stack.append((node.children[i], path + (i,)))
     return out

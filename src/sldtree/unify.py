@@ -51,10 +51,6 @@ class Substitution:
         self._cyclic = cyclic
 
     @property
-    def domain(self) -> tuple[Variable, ...]:
-        return tuple(self._bindings)
-
-    @property
     def is_empty(self) -> bool:
         return not self._bindings
 
@@ -87,19 +83,6 @@ class Substitution:
     def apply_goals(self, goals: GoalSeq) -> GoalSeq:
         return tuple(self.apply_goal(g) for g in goals)
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """Substitution tau with tau(t) == other(self(t)) for every t."""
-        out: dict[Variable, Term] = {}
-        for v, t in self._bindings.items():
-            out[v] = _subst(other._bindings, t)
-        for v, t in other._bindings.items():
-            if v not in self._bindings:
-                out[v] = t
-        return Substitution(out, self._cyclic | other._cyclic)
-
-    def items(self) -> tuple[tuple[Variable, Term], ...]:
-        return tuple(self._bindings.items())
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Substitution)
                 and self._bindings == other._bindings)
@@ -111,9 +94,6 @@ class Substitution:
         inner = ", ".join(f"{v.name}->{term_text(t)}"
                           for v, t in self._bindings.items())
         return f"Substitution({{{inner}}})"
-
-
-EMPTY = Substitution()
 
 
 def _occurs(v: Variable, t: Term) -> bool:

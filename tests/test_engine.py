@@ -3,10 +3,12 @@ import pytest
 from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
                             SearchNode, apply_cut, build_tree, expand,
                             solutions)
-from sldtree.errors import InstantiationError, UnknownPredicateError
+from sldtree.errors import (CyclicTermError, InstantiationError,
+                            UnknownPredicateError)
 from sldtree.fixtures import load_fixture
 from sldtree.kb import seq_text
 from sldtree.reader import parse_program, parse_query
+from sldtree.terms import term_text
 
 OPEN = NodeStatus.OPEN
 SUCCESS = NodeStatus.SUCCESS
@@ -293,6 +295,24 @@ def test_ground_query_answers_true():
     tree = build("p(a).", "p(a)")
     (answer,) = solutions(tree)
     assert answer.bindings == () and answer.text() == "true"
+
+
+def test_success_leaves_carry_their_answers():
+    tree = build_tree(load_fixture("append"), parse_query("append(X, Y, [a])"))
+    x, y = tree.query_vars
+    success = [n for n in leaves(tree.root) if n.status is SUCCESS]
+    assert [tuple(map(term_text, n.answer)) for n in success] == [
+        ("[]", "[a]"), ("[a]", "[]")]
+    assert tree.root.answer == (x, y)
+
+
+def test_cyclic_binding_on_a_failing_branch_is_no_answer():
+    # the anonymous variable is never shown on an edge, and no success
+    # leaf needs the cyclic value of Y, so the query simply fails
+    tree = build("p(f(_)). eq(A, A).", "p(Y), eq(Y, f(Y)), fail")
+    assert solutions(tree) == []
+    with pytest.raises(CyclicTermError):
+        solutions(build("p(f(_)). eq(A, A).", "p(Y), eq(Y, f(Y))"))
 
 
 def test_rebuilding_gives_identical_answers_and_statuses():

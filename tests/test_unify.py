@@ -109,26 +109,6 @@ def test_identity_bindings_are_dropped():
     assert Substitution({x: x}).is_empty
 
 
-def test_compose_law():
-    # apply(compose(s1, s2), t) == apply(s2, apply(s1, t))
-    x, y, z = v("X"), v("Y"), v("Z")
-    s1 = Substitution({x: Compound("f", (y,))})
-    s2 = Substitution({y: Atom("b"), z: Atom("c")})
-    tau = s1.compose(s2)
-    t = Compound("p", (x, y, z))
-    assert tau.apply(t) == s2.apply(s1.apply(t))
-    assert tau.get(x) == Compound("f", (Atom("b"),))
-
-
-def test_compose_prefers_first_binding_of_shared_variable():
-    x, x1 = v("X"), v("X'")
-    s1 = Substitution({x: x1})
-    s2 = Substitution({x1: Atom("b"), x: Atom("ignored")})
-    tau = s1.compose(s2)
-    assert tau.get(x) == Atom("b")
-    assert tau.get(x1) == Atom("b")
-
-
 def test_substitution_equality_ignores_insertion_order():
     x, y = v("X"), v("Y")
     assert (Substitution({x: Atom("a"), y: Atom("b")})
