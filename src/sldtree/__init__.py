@@ -4,32 +4,3 @@ Build the complete search tree for a query, failed and cut-pruned
 branches included, draw it as text, and read the answers off the
 Success leaves in depth-first order.
 """
-from .engine import (Answer, EdgeLabel, EngineOptions, Limits, NodeStatus,
-                     SearchNode, SearchTree, apply_cut, build_tree, expand,
-                     solutions)
-from .errors import (CyclicTermError, InstantiationError, PrologError,
-                     UnknownPredicateError)
-from .kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal, Goal,
-                 GoalSeq, Negation, Program, TrueGoal, goal_text, seq_text)
-from .reader import (ParseError, SourcePosition, parse_program, parse_query,
-                     parse_term)
-from .render import RenderOptions, render_text
-from .serialize import (FormatError, ViewEdge, ViewNode, ViewTree,
-                        deserialize, serialize, to_view)
-from .terms import (Atom, Compound, Integer, Term, Variable, list_parts,
-                    list_term, term_text, variables_of)
-from .unify import RenameCounter, Substitution, rename_clause, unify
-
-__all__ = [
-    "Answer", "Atom", "Call", "Clause", "Compare", "Compound",
-    "CyclicTermError", "Cut", "Disjunction", "EdgeLabel", "EngineOptions",
-    "FailGoal", "FormatError", "Goal", "GoalSeq", "InstantiationError",
-    "Integer", "Limits", "Negation", "NodeStatus", "ParseError",
-    "Program", "PrologError", "RenameCounter", "RenderOptions",
-    "SearchNode", "SearchTree", "SourcePosition", "Substitution", "Term",
-    "TrueGoal", "UnknownPredicateError", "Variable", "ViewEdge", "ViewNode",
-    "ViewTree", "apply_cut", "build_tree", "deserialize", "expand",
-    "goal_text", "list_parts", "list_term", "parse_program", "parse_query",
-    "parse_term", "render_text", "rename_clause", "seq_text", "serialize",
-    "solutions", "term_text", "to_view", "unify", "variables_of",
-]

@@ -1,8 +1,8 @@
 """Command-line driver: parse a knowledge base, run a query, print the
 search tree and the answers.
 
-Exit codes: 0 at least one answer, 1 no answers, 2 usage or parse or
-engine error, 3 tree truncated by resource limits.
+Exit codes: 0 at least one answer, 1 no answers, 2 usage, parse, engine
+or internal error, 3 tree truncated by resource limits.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import IO
 from .engine import Answer, EngineOptions, Limits, build_tree, solutions
 from .errors import PrologError
 from .fixtures import FIXTURES, fixture_text
-from .reader import ParseError, parse_program, parse_query
+from .reader import parse_program, parse_query
 from .render import RenderOptions, render_text
 from .serialize import serialize
 
@@ -79,23 +79,25 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
     try:
         program = parse_program(db_text)
         query = parse_query(cfg.query)
-    except ParseError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_ERROR
-
-    options = EngineOptions(unknown=cfg.unknown, rename=cfg.rename)
-    try:
+        options = EngineOptions(unknown=cfg.unknown, rename=cfg.rename)
         tree = build_tree(program, query, cfg.limits, options)
         answers = solutions(tree)
+        if cfg.format == "ascii":
+            drawing = render_text(tree, RenderOptions(max_width=cfg.width))
+        elif cfg.format == "canonical":
+            drawing = serialize(tree)
+        else:
+            drawing = None
     except PrologError as e:
         print(f"error: {e}", file=err)
         return EXIT_ERROR
+    except RecursionError as e:
+        # an internal limit, never to be mistaken for "no answers"
+        print(f"error: nested too deeply for this interpreter ({e})", file=err)
+        return EXIT_ERROR
 
-    if cfg.format == "ascii":
-        out.write(render_text(tree, RenderOptions(max_width=cfg.width)))
-        out.write("\n")
-    elif cfg.format == "canonical":
-        out.write(serialize(tree))
+    if drawing is not None:
+        out.write(drawing)
         out.write("\n")
     out.write(_answers_section(answers))
 

@@ -117,6 +117,24 @@ def test_truncation_warns_and_exits_3(tmp_path):
     assert err == "warning: tree truncated by depth/node limits\n"
 
 
+def test_cyclic_answer_is_an_error(tmp_path):
+    db = tmp_path / "eq.pl"
+    db.write_text("eq(A,A).\np(X) :- eq(X, f(X)).\n", encoding="utf-8")
+    code, out, err = invoke(RunConfig(db=str(db), query="p(Y)"))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: cyclic term")
+
+
+def test_too_deep_input_is_an_error_not_no_answers():
+    query = "p(" + "f(" * 3000 + "a" + ")" * 3000 + ")"
+    code, out, err = invoke(RunConfig(db="romance", query=query))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_list_fixtures():
     code, out, err = invoke(RunConfig(list_fixtures=True))
     assert code == EXIT_OK

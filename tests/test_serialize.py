@@ -14,6 +14,11 @@ def fixture_tree(name):
     return build_tree(load_fixture(name), parse_query(f.query))
 
 
+def test_serialize_module_is_not_shadowed_by_its_function():
+    import sldtree.serialize as m
+    assert m.deserialize is deserialize and m.serialize is serialize
+
+
 def test_document_shape():
     tree = build_tree(parse_program("p(a)."), parse_query("p(X)"))
     text = serialize(tree)
