@@ -22,7 +22,10 @@ def _subst(bindings: dict[Variable, Term], t: Term) -> Term:
         return bindings.get(t, t)
     if isinstance(t, Compound):
         args = tuple(_subst(bindings, a) for a in t.args)
-        return t if args == t.args else Compound(t.functor, args)
+        # identity, not ==: an equality test would walk both terms again
+        if all(a is b for a, b in zip(args, t.args)):
+            return t
+        return Compound(t.functor, args)
     return t
 
 
