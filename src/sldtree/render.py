@@ -7,6 +7,8 @@ parent's anchor down to each child's anchor using /, | and \\ glyphs at
 integer-interpolated columns. Binding labels sit beside the runs; when
 a label does not fit it walks down its run, flips sides, and as a last
 resort the connector rows are made taller. Nothing is ever truncated.
+The canvas a parent is drawn on grows to the left when a run or label
+reaches left of its origin, and the common indent is stripped after.
 
 When a row of children is wider than the width budget, the widest
 children are dropped out of the row one by one and drawn below the
@@ -54,7 +56,8 @@ class _Block:
 
 class _Canvas:
     """Grow-on-write character grid. Columns are offset so the layout
-    code may go temporarily negative; lines() strips the slack."""
+    code may go temporarily negative; a write left of the offset grows
+    every row to the left, and the caller strips the slack."""
 
     def __init__(self, offset: int):
         self.off = offset
@@ -68,6 +71,11 @@ class _Canvas:
     def write(self, r: int, c: int, text: str) -> None:
         row = self._row(r)
         c += self.off
+        if c < 0:
+            for other in self.rows:
+                other[:0] = " " * -c
+            self.off -= c
+            c = 0
         end = c + len(text)
         if len(row) < end:
             row.extend(" " * (end - len(row)))

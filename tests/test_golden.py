@@ -4,7 +4,8 @@ Each case runs `sldtree.cli.main` in-process and compares its standard
 output with tests/golden/<case>.out and its exit code with
 tests/golden/exit_codes.json. The cases are the bundled fixtures with
 their canonical queries (canonical JSON, ascii at widths 120 and 60)
-and a few larger trees (canonical and ascii at width 120).
+and a few larger trees (canonical and ascii at width 120, or ascii at
+width 120 alone).
 
 Regenerate the files, after a deliberate change of output, with
 
@@ -40,6 +41,11 @@ SCALED = (
     ("loop-50", str(DB / "loop.pl"), "p", ["--max-depth", "50"]),
 )
 
+# (case, database, query), drawn only
+DRAWN = (
+    ("flat-100", str(DB / "flat.pl"), "fact(X)"),
+)
+
 
 def cases() -> dict[str, list[str]]:
     """Case name -> command-line arguments."""
@@ -53,6 +59,9 @@ def cases() -> dict[str, list[str]]:
         base = ["--db", db, "--query", query] + extra
         out[f"{name}.canonical"] = base + ["--format", "canonical"]
         out[f"{name}.ascii120"] = base + ["--width", "120"]
+    for name, db, query in DRAWN:
+        out[f"{name}.ascii120"] = ["--db", db, "--query", query,
+                                   "--width", "120"]
     return out
 
 

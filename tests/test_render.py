@@ -164,3 +164,12 @@ def test_edge_labels_stack_on_multi_binding_edges():
                  "jealous(X, Y)")
     text = render_text(tree)
     assert "X=A" in text and "Y=B" in text
+
+
+def test_flat_table_keeps_every_label():
+    # a wide flat row draws connector runs left of the canvas origin;
+    # those writes must grow the canvas, not wrap onto the right end
+    names = [f"k{i:03d}" for i in range(100)]
+    tree = build("".join(f"fact({x}). " for x in names), "fact(X)")
+    text = render_text(tree, RenderOptions(max_width=120))
+    assert [x for x in names if f"X={x}" not in text] == []
