@@ -55,32 +55,29 @@ class _Block:
 
 
 class _Canvas:
-    """Grow-on-write character grid. Columns are offset so the layout
-    code may go temporarily negative; a write left of the offset grows
-    every row to the left, and the caller strips the slack."""
+    """Grow-on-write character grid, one string per row. Columns are
+    offset so the layout code may go temporarily negative; a write left
+    of the offset grows every row to the left, and the caller strips
+    the slack. Cells left of the grid or past the end of a row are
+    free."""
 
     def __init__(self, offset: int):
         self.off = offset
-        self.rows: list[list[str]] = []
-
-    def _row(self, r: int) -> list[str]:
-        while len(self.rows) <= r:
-            self.rows.append([])
-        return self.rows[r]
+        self.rows: list[str] = []
 
     def write(self, r: int, c: int, text: str) -> None:
-        row = self._row(r)
+        rows = self.rows
+        if len(rows) <= r:
+            rows.extend([""] * (r + 1 - len(rows)))
         c += self.off
         if c < 0:
-            for other in self.rows:
-                other[:0] = " " * -c
+            self.rows = rows = [" " * -c + row for row in rows]
             self.off -= c
             c = 0
-        end = c + len(text)
-        if len(row) < end:
-            row.extend(" " * (end - len(row)))
-        for k, ch in enumerate(text):
-            row[c + k] = ch
+        row = rows[r]
+        if len(row) < c:
+            row += " " * (c - len(row))
+        rows[r] = row[:c] + text + row[c + len(text):]
 
     def free(self, r: int, c0: int, c1: int) -> bool:
         # half-open column range, offset-adjusted
@@ -88,14 +85,31 @@ class _Canvas:
             return False
         if r >= len(self.rows):
             return True
+        c0 = max(c0 + self.off, 0)
+        return not self.rows[r][c0:max(c1 + self.off, c0)].strip(" ")
+
+    def free_window(self, r: int, c: int, width: int, step: int) -> int:
+        """The first of c, c + step, c + 2 * step, ... at which `width`
+        cells of row r are free; step is 1 or -1."""
+        if r >= len(self.rows):
+            return c
         row = self.rows[r]
-        for c in range(c0 + self.off, c1 + self.off):
-            if 0 <= c < len(row) and row[c] != " ":
-                return False
-        return True
+        start = c + self.off
+        if start >= len(row):
+            return c
+        # blank margins on both sides stand for the free cells beyond
+        # the row, so the search always succeeds
+        blank = " " * width
+        lead = width + max(0, -start)
+        padded = " " * lead + row + blank
+        if step > 0:
+            hit = padded.find(blank, start + lead)
+        else:
+            hit = padded.rfind(blank, 0, start + lead + width)
+        return hit - lead - self.off
 
     def lines(self) -> list[str]:
-        return ["".join(r).rstrip() for r in self.rows]
+        return [row.rstrip() for row in self.rows]
 
 
 def _node_text(node: ViewNode, opts: RenderOptions) -> str:
@@ -176,8 +190,8 @@ def _draw_run(canvas: _Canvas, parent: int, anchor: int,
     for r in range(top, bottom + 1):
         col = _run_col(parent, anchor, r, total)
         if glyph != "|":
-            while not canvas.free(r, col - clearance, col + 1 + clearance):
-                col += step
+            col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
+                                     step) + clearance
         canvas.write(r, col, glyph)
 
 

@@ -9,6 +9,7 @@ labels as text) and is the exact inverse on serialize's output.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -95,25 +96,64 @@ def to_view(tree: SearchTree | ViewTree) -> ViewTree:
         return ViewTree(_node_view(tree.root), tree.truncated)
 
 
-def _node_obj(node: ViewNode) -> dict:
-    return {
-        "goals": list(node.goals),
-        "status": node.status,
-        "children": [{"label": [[n, t] for n, t in e.label],
-                      "node": _node_obj(e.node)}
-                     for e in node.children],
-    }
+def _array(out: list[str], items: list[tuple[str, ...]], inner: str,
+           outer: str) -> None:
+    """Append a JSON array with one item per line: each item is a tuple
+    of pieces, `inner` and `outer` the line breaks before an item and
+    before the closing bracket."""
+    if not items:
+        out.append("[]")
+        return
+    out.append("[")
+    for k, item in enumerate(items):
+        if k:
+            out.append(",")
+        out.append(inner)
+        out.extend(item)
+    out.extend((outer, "]"))
 
 
 def serialize(tree: SearchTree | ViewTree) -> str:
+    """The bytes of json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
+    written in one pre-order walk. Indents are shared pieces, built
+    once per level, so a deep tree costs no more than its text."""
     view = to_view(tree)
-    with _stack_room(_tree_height(view)):
-        doc = {
-            "format": FORMAT_NAME,
-            "truncated": view.truncated,
-            "root": _node_obj(view.root),
-        }
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    q = encode_basestring
+    nl = ["\n"]  # nl[k]: a line break and the indent of level k
+    out = ['{\n  "format": ', q(FORMAT_NAME),
+           ',\n  "truncated": ', "true" if view.truncated else "false",
+           ',\n  "root": ']
+    # (pieces to append, then the node to open or None, the node's
+    # level: that of its closing brace, its keys one deeper)
+    stack: list[tuple[list[str] | tuple[str, ...], ViewNode | None, int]]
+    stack = [(("\n}\n",), None, 0), ((), view.root, 1)]
+    while stack:
+        pieces, node, d = stack.pop()
+        out.extend(pieces)
+        if node is None:
+            continue
+        while len(nl) < d + 6:
+            nl.append(nl[-1] + "  ")
+        i0, i1, i2, i3, i4, i5 = nl[d:d + 6]
+        out.extend(("{", i1, '"goals": '))
+        _array(out, [(q(g),) for g in node.goals], i2, i1)
+        out.extend((",", i1, '"status": ', q(node.status),
+                    ",", i1, '"children": '))
+        if not node.children:
+            out.extend(("[]", i0, "}"))
+            continue
+        out.append("[")
+        stack.append(((i1, "]", i0, "}"), None, 0))
+        last = len(node.children) - 1
+        for k in range(last, -1, -1):
+            edge = node.children[k]
+            stack.append(((i2, "},") if k < last else (i2, "}"), None, 0))
+            head = [i2, "{", i3, '"label": ']
+            _array(head, [("[", i5, q(n), ",", i5, q(t), i4, "]")
+                          for n, t in edge.label], i4, i3)
+            head.extend((",", i3, '"node": '))
+            stack.append((head, edge.node, d + 3))
+    return "".join(out)
 
 
 def _expect(cond: bool, message: str, where: str) -> None:
