@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SearchTree
-from .serialize import (ViewEdge, ViewNode, ViewTree, _stack_room,
-                        _tree_height, to_view)
+from .serialize import ViewEdge, ViewNode, ViewTree, fold, to_view
 
 MIN_WIDTH = 40
 
@@ -281,18 +280,17 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
                   parent + canvas.off - indent)
 
 
-def _layout(node: ViewNode, opts: RenderOptions) -> _Block:
-    text = _node_text(node, opts)
-    if not node.children:
-        return _leaf_block(text)
-    blocks = [_layout(e.node, opts) for e in node.children]
-    return _compose(text, node.children, blocks, opts)
+def _layout(root: ViewNode, opts: RenderOptions) -> _Block:
+    def block(node: ViewNode, blocks: list[_Block]) -> _Block:
+        text = _node_text(node, opts)
+        if not blocks:
+            return _leaf_block(text)
+        return _compose(text, node.children, blocks, opts)
+    return fold(root, lambda n: [e.node for e in n.children], block)
 
 
 def render_text(tree: SearchTree | ViewTree,
                 options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
-    view = to_view(tree)
-    with _stack_room(_tree_height(view)):
-        block = _layout(view.root, opts)
+    block = _layout(to_view(tree).root, opts)
     return "\n".join(block.lines) + "\n"

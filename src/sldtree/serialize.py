@@ -13,6 +13,7 @@ from json.encoder import encode_basestring
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 from .engine import SearchNode, SearchTree
 from .errors import PrologError
@@ -22,6 +23,9 @@ from .terms import term_text
 FORMAT_NAME = "sld-search-tree/1"
 
 _STATUSES = ("open", "success", "fail", "pruned", "truncated")
+
+N = TypeVar("N")
+R = TypeVar("R")
 
 
 class FormatError(PrologError):
@@ -50,26 +54,11 @@ class ViewTree:
     truncated: bool = False
 
 
-def _tree_height(tree: SearchTree | ViewTree) -> int:
-    if isinstance(tree, ViewTree):
-        def edges(n): return [e.node for e in n.children]
-    else:
-        def edges(n): return n.children
-    height = 0
-    stack = [(tree.root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > height:
-            height = depth
-        stack.extend((c, depth + 1) for c in edges(node))
-    return height
-
-
 @contextmanager
 def _stack_room(levels: int):
-    """Tree walks and the json module recurse a handful of frames per
-    nesting level; a deep chain (a left-recursive program stopped only
-    by the depth limit) outgrows the default interpreter stack."""
+    """json.loads and _parse_node recurse a few frames per nesting
+    level; a deep chain (a left-recursive program stopped only by the
+    depth limit) outgrows the default interpreter stack."""
     need = 16 * levels + 1000
     old = sys.getrecursionlimit()
     if need > old:
@@ -80,11 +69,31 @@ def _stack_room(levels: int):
         sys.setrecursionlimit(old)
 
 
-def _node_view(node: SearchNode) -> ViewNode:
+def fold(root: N, kids: Callable[[N], Sequence[N]],
+         combine: Callable[[N, list[R]], R]) -> R:
+    """combine(node, [results of its kids]) from the leaves up, with an
+    explicit stack, so a tree of any depth folds without recursion."""
+    done: list[R] = []
+    stack: list[tuple[N, Sequence[N] | None]] = [(root, None)]
+    while stack:
+        node, below = stack.pop()
+        if below is None:
+            below = kids(node)
+            stack.append((node, below))
+            stack.extend((k, None) for k in reversed(below))
+        else:
+            n = len(below)
+            results = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(combine(node, results))
+    return done[0]
+
+
+def _node_view(node: SearchNode, views: list[ViewNode]) -> ViewNode:
     children = tuple(
         ViewEdge(tuple((v.name, term_text(t)) for v, t in c.label.bindings),
-                 _node_view(c))
-        for c in node.children)
+                 view)
+        for c, view in zip(node.children, views))
     return ViewNode(tuple(goal_text(g) for g in node.goals),
                     node.status.value, children)
 
@@ -92,8 +101,8 @@ def _node_view(node: SearchNode) -> ViewNode:
 def to_view(tree: SearchTree | ViewTree) -> ViewTree:
     if isinstance(tree, ViewTree):
         return tree
-    with _stack_room(_tree_height(tree)):
-        return ViewTree(_node_view(tree.root), tree.truncated)
+    return ViewTree(fold(tree.root, lambda n: n.children, _node_view),
+                    tree.truncated)
 
 
 def _array(out: list[str], items: list[tuple[str, ...]], inner: str,

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import MIN_WIDTH, RenderOptions, render_text
-from sldtree.serialize import deserialize, serialize
+from sldtree.serialize import deserialize, serialize, to_view
 
 GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
 
@@ -173,3 +174,20 @@ def test_flat_table_keeps_every_label():
     tree = build("".join(f"fact({x}). " for x in names), "fact(X)")
     text = render_text(tree, RenderOptions(max_width=120))
     assert [x for x in names if f"X={x}" not in text] == []
+
+
+def test_chain_deeper_than_the_recursion_limit_draws():
+    # not serialized: at this depth the indented document is about 40 MB
+    limit = sys.getrecursionlimit()
+    tree = build("p :- p.", "p", limits=Limits(max_depth=limit + 100))
+    view = to_view(tree)
+    depth = 0
+    node = view.root
+    while node.children:
+        (edge,) = node.children
+        node = edge.node
+        depth += 1
+    assert depth > limit and node.status == "truncated"
+    lines = render_text(tree).splitlines()
+    assert lines.count("[p]") == depth and lines[-1] == "..."
+    assert sys.getrecursionlimit() == limit
