@@ -9,10 +9,10 @@ labels as text) and is the exact inverse on serialize's output.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Callable, Sequence, TypeVar
 
 from .engine import SearchNode, SearchTree
@@ -24,8 +24,8 @@ FORMAT_NAME = "sld-search-tree/1"
 
 _STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
-N = TypeVar("N")
-R = TypeVar("R")
+_N = TypeVar("_N")
+_R = TypeVar("_R")
 
 
 class FormatError(PrologError):
@@ -69,12 +69,12 @@ def _stack_room(levels: int):
         sys.setrecursionlimit(old)
 
 
-def fold(root: N, kids: Callable[[N], Sequence[N]],
-         combine: Callable[[N, list[R]], R]) -> R:
+def fold(root: _N, kids: Callable[[_N], Sequence[_N]],
+         combine: Callable[[_N, list[_R]], _R]) -> _R:
     """combine(node, [results of its kids]) from the leaves up, with an
     explicit stack, so a tree of any depth folds without recursion."""
-    done: list[R] = []
-    stack: list[tuple[N, Sequence[N] | None]] = [(root, None)]
+    done: list[_R] = []
+    stack: list[tuple[_N, Sequence[_N] | None]] = [(root, None)]
     while stack:
         node, below = stack.pop()
         if below is None:
