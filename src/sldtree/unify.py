@@ -1,76 +1,84 @@
 """Unification without occurs-check, substitutions, clause renaming.
 
-Substitutions are kept in resolved form: the term a variable maps to
-contains no variable that is itself bound (the one exception is a
-cyclic binding like X -> f(X), which unification is allowed to create
-but apply() refuses to exercise).
+A substitution keeps the triangular bindings unify() made; apply()
+resolves them, once per variable, and raises CyclicTermError on a
+variable met inside its own value. unify() decomposes each pair of
+compound subterms at most once, so it terminates on cyclic terms too.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import is_not
 
 from .errors import CyclicTermError
-from .kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal, Goal,
-                 GoalSeq, Negation, TrueGoal, goal_variables)
+from .kb import (Call, Clause, Compare, Disjunction, Goal, GoalSeq, Negation,
+                 goal_variables)
 from .terms import Compound, Term, Variable, term_text, variables_of
 
 
-def _subst(bindings: dict[Variable, Term], t: Term) -> Term:
-    """One structural pass; enough for resolved bindings."""
-    if isinstance(t, Variable):
-        return bindings.get(t, t)
-    if isinstance(t, Compound):
-        args = tuple(_subst(bindings, a) for a in t.args)
-        # identity, not ==: an equality test would walk both terms again
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return Compound(t.functor, args)
-    return t
-
-
-def _map_goal(bindings: dict[Variable, Term], g: Goal) -> Goal:
-    if isinstance(g, Call):
-        return Call(_subst(bindings, g.term))
-    if isinstance(g, Compare):
-        return Compare(g.op, _subst(bindings, g.lhs), _subst(bindings, g.rhs))
-    if isinstance(g, Disjunction):
-        return Disjunction(tuple(_map_goal(bindings, x) for x in g.left),
-                           tuple(_map_goal(bindings, x) for x in g.right))
-    if isinstance(g, Negation):
-        return Negation(tuple(_map_goal(bindings, x) for x in g.inner))
-    return g  # Cut / TrueGoal / FailGoal carry no terms
-
-
 class Substitution:
-    """Immutable variable -> term mapping."""
+    """Immutable variable -> term mapping in triangular form."""
 
-    __slots__ = ("_bindings", "_cyclic")
+    __slots__ = ("_bindings", "_resolved")
 
-    def __init__(self, bindings: dict[Variable, Term] | None = None,
-                 cyclic: frozenset[Variable] = frozenset()):
-        clean = {v: t for v, t in (bindings or {}).items() if t != v}
-        self._bindings = clean
-        self._cyclic = cyclic
+    def __init__(self, bindings: dict[Variable, Term] | None = None):
+        self._bindings = {v: t for v, t in (bindings or {}).items() if t is not v}
+        # resolved value of each variable bound to a compound
+        self._resolved: dict[Variable, Term] = {}
 
     @property
     def is_empty(self) -> bool:
         return not self._bindings
 
     def get(self, v: Variable) -> Term | None:
-        return self._bindings.get(v)
+        return self.apply(v) if v in self._bindings else None
 
     def binds(self, v: Variable) -> bool:
         return v in self._bindings
 
     def apply(self, t: Term) -> Term:
-        out = _subst(self._bindings, t)
-        if self._cyclic:
-            for v in variables_of(out):
-                if v in self._cyclic:
+        """t with each bound variable replaced by its resolved value.
+
+        One iterative walk. Unchanged subterms are kept by identity, and
+        the compound at the end of each variable chain is resolved once.
+        """
+        bindings, resolved = self._bindings, self._resolved
+        done: list[Term] = []
+        # terms to resolve, and 1-tuples: rebuild this compound, or keep
+        # this variable's value, from the top of `done`
+        todo: list = [t]
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple:
+                (term,) = item
+                if isinstance(term, Variable):
+                    resolved[term] = done[-1]
+                    continue
+                k = len(done) - len(term.args)
+                if any(map(is_not, done[k:], term.args)):
+                    term = Compound(term.functor, tuple(done[k:]))
+                done[k:] = [term]
+            elif isinstance(item, Compound):
+                todo += (item,), *reversed(item.args)
+            elif not isinstance(item, Variable) or item not in bindings:
+                done.append(item)
+            else:
+                value = bindings[item]
+                while isinstance(value, Variable) and value in bindings:
+                    item, value = value, bindings[value]
+                if not isinstance(value, Compound):
+                    done.append(value)
+                elif (memo := resolved.get(item)) is None:
+                    resolved[item] = item  # open: its value is being walked
+                    todo += (item,), value
+                elif memo is item:
+                    self._resolved = {}  # drops the open marks
                     raise CyclicTermError(
-                        f"cyclic term: {v.name} is bound inside its own value")
-        return out
+                        f"cyclic term: {item.name} is bound inside its own value")
+                else:
+                    done.append(memo)
+        return done[0]
 
     def apply_goal(self, g: Goal) -> Goal:
         if isinstance(g, Call):
@@ -99,14 +107,6 @@ class Substitution:
         return f"Substitution({{{inner}}})"
 
 
-def _occurs(v: Variable, t: Term) -> bool:
-    if isinstance(t, Variable):
-        return t == v
-    if isinstance(t, Compound):
-        return any(_occurs(v, a) for a in t.args)
-    return False
-
-
 def unify(t1: Term, t2: Term) -> Substitution | None:
     """Most general unifier of t1 and t2, or None.
 
@@ -115,33 +115,29 @@ def unify(t1: Term, t2: Term) -> Substitution | None:
     passing (goal, clause head) get goal-variable-first bindings.
     """
     bindings: dict[Variable, Term] = {}
-    cyclic: set[Variable] = set()
-
-    def bind(v: Variable, t: Term) -> None:
-        if _occurs(v, t):
-            cyclic.add(v)
-        one = {v: t}
-        for w in bindings:
-            bindings[w] = _subst(one, bindings[w])
-        bindings[v] = t
-
+    decomposed: set[tuple[int, int]] = set()  # ids of compound pairs
     queue: deque[tuple[Term, Term]] = deque([(t1, t2)])
     while queue:
         a, b = queue.popleft()
-        a = _subst(bindings, a)
-        b = _subst(bindings, b)
-        if a == b:
+        while isinstance(a, Variable) and a in bindings:
+            a = bindings[a]
+        while isinstance(b, Variable) and b in bindings:
+            b = bindings[b]
+        if a is b:
             continue
         if isinstance(a, Variable):
-            bind(a, b)
+            bindings[a] = b
         elif isinstance(b, Variable):
-            bind(b, a)
-        elif (isinstance(a, Compound) and isinstance(b, Compound)
-              and a.functor == b.functor and len(a.args) == len(b.args)):
-            queue.extend(zip(a.args, b.args))
-        else:
+            bindings[b] = a
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return None
+            if (id(a), id(b)) not in decomposed:
+                decomposed.add((id(a), id(b)))
+                queue.extend(zip(a.args, b.args))
+        elif a != b:
             return None
-    return Substitution(bindings, frozenset(cyclic))
+    return Substitution(bindings)
 
 
 @dataclass(frozen=True)
@@ -196,6 +192,5 @@ def rename_clause(c: Clause, ctr: RenameCounter,
     for v in vs:
         if v.is_anonymous:
             mapping[v] = Variable("_")
-    head = _subst(mapping, c.head)
-    body = tuple(_map_goal(mapping, g) for g in c.body)
-    return Clause(head, body), ctr
+    renaming = Substitution(mapping)
+    return Clause(renaming.apply(c.head), renaming.apply_goals(c.body)), ctr

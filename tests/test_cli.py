@@ -126,6 +126,29 @@ def test_cyclic_answer_is_an_error(tmp_path):
     assert err.startswith("error: cyclic term")
 
 
+def test_unifying_a_variable_with_its_own_image_terminates(tmp_path):
+    db = tmp_path / "eq.pl"
+    db.write_text("eq(A,A).\n", encoding="utf-8")
+    code, out, err = invoke(RunConfig(db=str(db),
+                                      query="eq(p(X,X), p(f(X),f(X)))"))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: cyclic term")
+
+
+def test_splitting_a_400_element_list_gives_401_answers():
+    # runs at the interpreter's default recursion limit
+    items = [f"a{i}" for i in range(400)]
+    query = f"append(X,Y,[{','.join(items)}])"
+    code, out, err = invoke(RunConfig(db="append", query=query,
+                                      format="answers-only"))
+    assert (code, err) == (EXIT_OK, "")
+    blocks = out.split("\n\n")
+    assert len(blocks) == 401
+    assert blocks[0] == f"X = [], Y = [{','.join(items)}]"
+    assert blocks[-1] == f"X = [{','.join(items)}], Y = []\n"
+
+
 def test_too_deep_input_is_an_error_not_no_answers():
     query = "p(" + "f(" * 3000 + "a" + ")" * 3000 + ")"
     code, out, err = invoke(RunConfig(db="romance", query=query))

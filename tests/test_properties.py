@@ -1,9 +1,10 @@
-"""Property tests of the canonical writer and the drawing canvas.
+"""Property tests of the canonical writer, the drawing canvas and unify.
 
 serialize() writes the canonical document by hand; json.dumps of the
 equivalent plain document is the oracle it must match byte for byte.
 The canvas search for a free connector column must agree with a
-column-by-column loop over free().
+column-by-column loop over free(). unify() must agree with a textbook
+unifier that does the occurs check.
 """
 import json
 
@@ -11,12 +12,15 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sldtree.errors import CyclicTermError
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
+from sldtree.terms import Atom, Compound, Variable
+from sldtree.unify import unify
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -99,3 +103,98 @@ def test_canvas_keeps_every_cell_written(offset, ops, r, c0, span):
         assert canvas.rows[row][c + canvas.off] == ch
     blank = all(cells.get((r, c), " ") == " " for c in range(c0, c0 + span))
     assert canvas.free(r, c0, c0 + span) == blank
+
+
+# -- unify ------------------------------------------------------------------
+
+# one shared pool, so a variable repeats within and across the two sides
+POOL = (Variable("X"), Variable("Y"), Variable("Z"))
+
+terms = st.recursive(
+    st.sampled_from(POOL + (Atom("a"), Atom("b"))),
+    lambda kids: st.one_of(
+        st.builds(lambda x: Compound("f", (x,)), kids),
+        st.builds(lambda x, y: Compound("g", (x, y)), kids, kids),
+        st.builds(lambda x, y: Compound("h", (x, y)), kids, kids)),
+    max_leaves=8)
+
+
+def _subst(s: dict, t):
+    if isinstance(t, Variable):
+        return s.get(t, t)
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_subst(s, a) for a in t.args))
+    return t
+
+
+def _occurs(v: Variable, t) -> bool:
+    return t == v or (isinstance(t, Compound)
+                      and any(_occurs(v, a) for a in t.args))
+
+
+def textbook_unify(t1, t2) -> dict | None:
+    """Robinson's algorithm with the occurs check: an idempotent mgu, or
+    None when t1 and t2 have no finite common instance."""
+    s: dict = {}
+    pairs = [(t1, t2)]
+    while pairs:
+        a, b = (_subst(s, t) for t in pairs.pop())
+        if a == b:
+            continue
+        if not isinstance(a, Variable):
+            a, b = b, a
+        if isinstance(a, Variable):
+            if _occurs(a, b):
+                return None
+            s = {v: _subst({a: b}, t) for v, t in s.items()}
+            s[a] = b
+        elif (isinstance(a, Compound) and isinstance(b, Compound)
+              and a.functor == b.functor and len(a.args) == len(b.args)):
+            pairs.extend(zip(a.args, b.args))
+        else:
+            return None
+    return s
+
+
+def is_variant(t1, t2) -> bool:
+    """Equal up to a one-to-one renaming of variables."""
+    fwd: dict = {}
+    back: dict = {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Variable) and isinstance(b, Variable):
+            if fwd.setdefault(a, b) != b or back.setdefault(b, a) != a:
+                return False
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        elif a != b or isinstance(a, Variable) or isinstance(b, Variable):
+            return False
+    return True
+
+
+X, Y, _ = POOL
+FX = Compound("f", (X,))
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms, terms)
+@example(Compound("g", (X, X)), Compound("g", (FX, FX)))
+@example(Compound("g", (X, Compound("g", (Y, X)))),
+         Compound("g", (FX, Compound("g", (Compound("f", (Y,)), Y)))))
+def test_unify_agrees_with_a_textbook_occurs_check_unifier(t1, t2):
+    want = textbook_unify(t1, t2)
+    s = unify(t1, t2)
+    try:
+        both = None if s is None else s.apply(Compound("p", (t1, t2)))
+    except CyclicTermError:
+        both = None
+    assert (both is None) == (want is None)
+    if want is None:
+        return
+    assert s.apply(t1) == s.apply(t2)
+    assert _subst(want, t1) == _subst(want, t2)
+    assert s.apply(both) == both
+    assert is_variant(s.apply(t1), _subst(want, t1))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sldtree.errors import CyclicTermError
@@ -79,6 +81,62 @@ def test_unify_without_occurs_check_is_cyclic():
     with pytest.raises(CyclicTermError) as info:
         s.apply(x)
     assert "bound inside its own value" in str(info.value)
+
+
+def _sides(text):
+    # both sides come from one term, so they share their variables
+    t = parse_term(text)
+    return t.args
+
+
+def test_unify_terminates_when_a_variable_meets_its_own_image():
+    # once X -> f(X) is bound, the pair (f(X), X) resolves to itself
+    t1, t2 = _sides("eq(p(X,X), p(f(X),f(X)))")
+    s = unify(t1, t2)
+    assert s is not None
+    with pytest.raises(CyclicTermError):
+        s.apply(t1.args[0])
+
+
+def test_unify_terminates_on_two_cyclic_bindings_unified():
+    # X = f(X), Y = f(Y), X = Y as one term pair
+    t1, t2 = _sides("eq(q(X,Y,X), q(f(X),f(Y),Y))")
+    s = unify(t1, t2)
+    assert s is not None
+    for x in variables_of(t1):
+        with pytest.raises(CyclicTermError):
+            s.apply(x)
+
+
+def test_bindings_stay_triangular_until_applied():
+    # X is bound to f(Y) as it stands; Y's binding shows only on apply
+    x, y = v("X"), v("Y")
+    s = unify(Compound("p", (x, y)),
+              Compound("p", (Compound("f", (y,)), Atom("a"))))
+    assert repr(s) == "Substitution({X->f(Y), Y->a})"
+    assert s.apply(x) == Compound("f", (Atom("a"),))
+
+
+def test_apply_keeps_unchanged_subterms_by_identity():
+    x = v("X")
+    ground = parse_term("g([a,b,c], h(1))")
+    t = Compound("p", (x, ground))
+    s = Substitution({x: Atom("a")})
+    assert s.apply(t).args[1] is ground
+    assert s.apply(ground) is ground
+
+
+def test_apply_walks_terms_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    x = v("X")
+    t = x
+    for _ in range(depth):
+        t = Compound("f", (t,))
+    s = unify(Compound("p", (x, t)), Compound("p", (Atom("a"), t)))
+    out = s.apply(t)
+    for _ in range(depth):
+        out = out.args[0]
+    assert out == Atom("a")
 
 
 def test_anonymous_variables_unify_independently():
