@@ -165,38 +165,41 @@ def serialize(tree: SearchTree | ViewTree) -> str:
     return "".join(out)
 
 
-def _expect(cond: bool, message: str, where: str) -> None:
+def _expect(cond: bool, message: str, where: str | list[str]) -> None:
     if not cond:
-        raise FormatError(message, where)
+        raise FormatError(message, "".join(where))
 
 
-def _parse_node(obj: object, where: str) -> ViewNode:
-    _expect(isinstance(obj, dict), "node must be an object", where)
+def _parse_node(obj: object, path: list[str]) -> ViewNode:
+    # steps from the root, joined only for an error: a path string at
+    # every node would hold text in the square of the depth
+    _expect(isinstance(obj, dict), "node must be an object", path)
     assert isinstance(obj, dict)
     _expect(set(obj) == {"goals", "status", "children"},
-            "node needs exactly goals/status/children", where)
+            "node needs exactly goals/status/children", path)
     goals = obj["goals"]
     _expect(isinstance(goals, list) and all(isinstance(g, str) for g in goals),
-            "goals must be a list of strings", where)
+            "goals must be a list of strings", path)
     status = obj["status"]
-    _expect(status in _STATUSES, f"unknown status {status!r}", where)
+    _expect(status in _STATUSES, f"unknown status {status!r}", path)
     raw_children = obj["children"]
-    _expect(isinstance(raw_children, list), "children must be a list", where)
+    _expect(isinstance(raw_children, list), "children must be a list", path)
     children = []
     for i, edge in enumerate(raw_children):
-        ewhere = f"{where}.children[{i}]"
+        path.append(f".children[{i}]")
         _expect(isinstance(edge, dict) and set(edge) == {"label", "node"},
-                "edge needs exactly label/node", ewhere)
+                "edge needs exactly label/node", path)
         label = edge["label"]
-        _expect(isinstance(label, list), "label must be a list", ewhere)
+        _expect(isinstance(label, list), "label must be a list", path)
         pairs = []
         for p in label:
             _expect(isinstance(p, list) and len(p) == 2
                     and all(isinstance(x, str) for x in p),
-                    "label entries are [name, term] string pairs", ewhere)
+                    "label entries are [name, term] string pairs", path)
             pairs.append((p[0], p[1]))
-        children.append(ViewEdge(tuple(pairs),
-                                 _parse_node(edge["node"], f"{ewhere}.node")))
+        path.append(".node")
+        children.append(ViewEdge(tuple(pairs), _parse_node(edge["node"], path)))
+        del path[-2:]
     return ViewNode(tuple(goals), status, tuple(children))
 
 
@@ -218,4 +221,4 @@ def _deserialize(text: str) -> ViewTree:
             f"unsupported format {doc['format']!r}", "format")
     _expect(isinstance(doc["truncated"], bool),
             "truncated must be a boolean", "truncated")
-    return ViewTree(_parse_node(doc["root"], "root"), doc["truncated"])
+    return ViewTree(_parse_node(doc["root"], ["root"]), doc["truncated"])
