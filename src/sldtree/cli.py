@@ -75,6 +75,9 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
     except OSError as e:
         print(f"error: {e}", file=err)
         return EXIT_ERROR
+    except UnicodeDecodeError as e:
+        print(f"error: {cfg.db} is not UTF-8 text ({e})", file=err)
+        return EXIT_ERROR
 
     try:
         program = parse_program(db_text)
@@ -139,8 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                         limits=limits, unknown=args.unknown,
                         rename=args.rename, width=args.width,
                         list_fixtures=args.list_fixtures)
-        if cfg.format == "ascii" and cfg.width:
-            RenderOptions(max_width=cfg.width)  # validate early
+        RenderOptions(max_width=cfg.width)  # validate early
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

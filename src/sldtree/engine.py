@@ -13,6 +13,7 @@ that introduced its barrier, inclusive.
 from __future__ import annotations
 
 import itertools
+from collections import ChainMap, Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,29 +46,19 @@ class EdgeLabel:
         return not self.bindings
 
 
-EMPTY_LABEL = EdgeLabel()
-
-
 @dataclass(eq=False)
 class SearchNode:
     goals: GoalSeq
     status: NodeStatus = NodeStatus.OPEN
-    label: EdgeLabel = EMPTY_LABEL
+    label: EdgeLabel = EdgeLabel()
     children: list["SearchNode"] = field(default_factory=list)
     # image of the tree's query variables on the path to this node, or the
     # cyclic-term error met building it, raised only if a success leaf needs it
     answer: tuple[Term, ...] | CyclicTermError = ()
-    # variable display names visible on the path so far, for renaming
-    names: frozenset[str] | None = None
     # barriers attached before expansion (negation probes)
     pre_barriers: frozenset[int] = frozenset()
     # barriers this node's expansion introduced; cut targets
     frame_barriers: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.names is None:
-            self.names = frozenset(
-                v.name for v in goal_variables(self.goals) if not v.is_anonymous)
 
     @property
     def is_leaf(self) -> bool:
@@ -133,11 +124,10 @@ def _tag_cuts(goals: GoalSeq, barrier: int) -> GoalSeq:
 
 
 def _names_of(goals: GoalSeq, label: EdgeLabel) -> frozenset[str]:
-    names = {v.name for v in goal_variables(goals) if not v.is_anonymous}
+    vs = goal_variables(goals)
     for v, t in label.bindings:
-        names.add(v.name)
-        names.update(w.name for w in variables_of(t) if not w.is_anonymous)
-    return frozenset(names)
+        vs += [v, *variables_of(t)]
+    return frozenset(v.name for v in vs if not v.is_anonymous)
 
 
 def _label_for(goal_term: Term, sigma: Substitution) -> EdgeLabel:
@@ -147,7 +137,7 @@ def _label_for(goal_term: Term, sigma: Substitution) -> EdgeLabel:
 
 
 def _fail_leaf() -> SearchNode:
-    return SearchNode((), status=NodeStatus.FAIL, names=frozenset())
+    return SearchNode((), status=NodeStatus.FAIL)
 
 
 def _compare_holds(g: Compare) -> bool:
@@ -180,6 +170,7 @@ def apply_cut(path: list[tuple[SearchNode, int]], barrier: int) -> None:
 class _Frame:
     node: SearchNode
     depth: int
+    names: frozenset[str]  # the node's own, as counted in _Builder.path
     index: int = -1
 
 
@@ -190,6 +181,9 @@ class _Builder:
         self.options = options
         self.ctr = RenameCounter(1, options.rename)
         self.issued: set[str] = set()
+        # per variable name, how many nodes on the DFS path show it
+        self.path: Counter[str] = Counter()
+        self.avoid = ChainMap(self.path, self.issued)  # renaming checks `in`
         self._barrier = itertools.count(1)
         self.node_count = 1  # the root
         self.truncated = False
@@ -202,6 +196,10 @@ class _Builder:
             f.index += 1
             if f.index >= len(f.node.children):
                 frames.pop()
+                for n in f.names:  # a name no node shows leaves the path
+                    self.path[n] -= 1
+                    if not self.path[n]:
+                        del self.path[n]
                 continue
             child = f.node.children[f.index]
             if child.status is NodeStatus.OPEN:
@@ -215,10 +213,11 @@ class _Builder:
             node.status = NodeStatus.TRUNCATED
             self.truncated = True
             return
-        children = self.expand(node, frames)
-        node.children = children
-        self.node_count += len(children)
-        frames.append(_Frame(node, depth))
+        names = _names_of(node.goals, node.label)
+        self.path.update(names)
+        node.children = self.expand(node, frames)
+        self.node_count += len(node.children)
+        frames.append(_Frame(node, depth, names))
 
     # -- expansion ------------------------------------------------------
 
@@ -270,8 +269,7 @@ class _Builder:
         return children
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
-        return SearchNode(goals, answer=node.answer,
-                          names=node.names | _names_of(goals, EMPTY_LABEL))
+        return SearchNode(goals, answer=node.answer)
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, barrier: int) -> SearchNode:
@@ -280,9 +278,8 @@ class _Builder:
         if clause.is_fact:
             renamed, self.ctr = rename_clause(clause, self.ctr, frozenset())
         else:
-            avoid = frozenset(node.names | self.issued)
             before = {v.name for v in clause_variables(clause)}
-            renamed, self.ctr = rename_clause(clause, self.ctr, avoid)
+            renamed, self.ctr = rename_clause(clause, self.ctr, self.avoid)
             self.issued.update(
                 v.name for v in clause_variables(renamed)
                 if not v.is_anonymous and v.name not in before)
@@ -297,9 +294,8 @@ class _Builder:
                 answer = tuple(sigma.apply(t) for t in answer)
             except CyclicTermError as e:
                 answer = e
-        label = _label_for(call.term, sigma)
-        return SearchNode(goals, label=label, answer=answer,
-                          names=node.names | _names_of(goals, label))
+        return SearchNode(goals, label=_label_for(call.term, sigma),
+                          answer=answer)
 
 
 def build_tree(program: Program, query: GoalSeq,
@@ -325,9 +321,9 @@ def expand(node: SearchNode, program: Program,
     """One expansion step on its own, mainly for poking at the rules."""
     builder = _Builder(program, Limits(), options or EngineOptions())
     builder.ctr = counter
-    children = builder.expand(node)
-    node.children = children
-    return children, builder.ctr
+    builder.path.update(_names_of(node.goals, node.label))
+    node.children = builder.expand(node)
+    return node.children, builder.ctr
 
 
 def solutions(tree: SearchTree) -> list[Answer]:

@@ -23,16 +23,13 @@ from .engine import SearchTree
 from .serialize import ViewEdge, ViewNode, ViewTree, fold, to_view
 
 MIN_WIDTH = 40
+# what a leaf that is not an open goal list is drawn as, by status
+GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
 
 
 @dataclass(frozen=True)
 class RenderOptions:
     max_width: int = 120
-    show_boxes: bool = True
-    success_glyph: str = "[]"
-    fail_glyph: str = "x"
-    pruned_glyph: str = "X"
-    truncated_glyph: str = "..."
 
     def __post_init__(self):
         if self.max_width < MIN_WIDTH:
@@ -111,17 +108,8 @@ class _Canvas:
         return [row.rstrip() for row in self.rows]
 
 
-def _node_text(node: ViewNode, opts: RenderOptions) -> str:
-    if node.status == "fail":
-        return opts.fail_glyph
-    if node.status == "pruned":
-        return opts.pruned_glyph
-    if node.status == "truncated":
-        return opts.truncated_glyph
-    body = ",".join(node.goals)
-    if node.status == "success":
-        return opts.success_glyph
-    return f"[{body}]" if opts.show_boxes else (body or "[]")
+def _node_text(node: ViewNode) -> str:
+    return GLYPHS.get(node.status) or f"[{','.join(node.goals)}]"
 
 
 def _label_lines(edge: ViewEdge) -> list[str]:
@@ -201,7 +189,7 @@ def _paste(canvas: _Canvas, block: _Block, top: int, left: int) -> None:
 
 
 def _compose(text: str, edges: tuple[ViewEdge, ...],
-             blocks: list[_Block], opts: RenderOptions) -> _Block:
+             blocks: list[_Block], max_width: int) -> _Block:
     n = len(blocks)
     labels = [_label_lines(e) for e in edges]
     max_label = max((len(t) for ls in labels for t in ls), default=0)
@@ -210,7 +198,7 @@ def _compose(text: str, edges: tuple[ViewEdge, ...],
     dropped: list[int] = []
     while len(kept) > 1:
         gap = 3 * (len(kept) - 1)
-        if sum(blocks[i].width for i in kept) + gap <= opts.max_width:
+        if sum(blocks[i].width for i in kept) + gap <= max_width:
             break
         widest = max(kept, key=lambda i: (blocks[i].width, i))
         kept.remove(widest)
@@ -225,18 +213,17 @@ def _compose(text: str, edges: tuple[ViewEdge, ...],
         if attempt >= 3:
             gutter = 3 + max_label
         result = _try_compose(text, blocks, labels, kept, dropped,
-                              h, gutter, max_label, opts)
+                              h, gutter, max_label)
         if result is not None:
             return result
     return _try_compose(text, blocks, labels, kept, dropped,
-                        base_h, 3 + max_label, max_label, opts,
+                        base_h, 3 + max_label, max_label,
                         force=True)  # type: ignore[return-value]
 
 
 def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
                  kept: list[int], dropped: list[int], h: int, gutter: int,
-                 max_label: int, opts: RenderOptions,
-                 force: bool = False) -> _Block | None:
+                 max_label: int, force: bool = False) -> _Block | None:
     offs: dict[int, int] = {}
     x = 0
     for i in kept:
@@ -280,17 +267,17 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
                   parent + canvas.off - indent)
 
 
-def _layout(root: ViewNode, opts: RenderOptions) -> _Block:
+def _layout(root: ViewNode, max_width: int) -> _Block:
     def block(node: ViewNode, blocks: list[_Block]) -> _Block:
-        text = _node_text(node, opts)
+        text = _node_text(node)
         if not blocks:
             return _leaf_block(text)
-        return _compose(text, node.children, blocks, opts)
+        return _compose(text, node.children, blocks, max_width)
     return fold(root, lambda n: [e.node for e in n.children], block)
 
 
 def render_text(tree: SearchTree | ViewTree,
                 options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
-    block = _layout(to_view(tree).root, opts)
+    block = _layout(to_view(tree).root, opts.max_width)
     return "\n".join(block.lines) + "\n"

@@ -112,15 +112,13 @@ def list_parts(t: Term) -> tuple[list[Term], Term]:
 def variables_of(t: Term) -> list[Variable]:
     """All variables in t, first occurrence first, no duplicates."""
     seen: dict[Variable, None] = {}
-
-    def walk(term: Term) -> None:
+    stack = [t]
+    while stack:
+        term = stack.pop()
         if isinstance(term, Variable):
             seen.setdefault(term)
         elif isinstance(term, Compound):
-            for a in term.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(term.args))
     return list(seen)
 
 

@@ -8,6 +8,7 @@ compound subterms at most once, so it terminates on cyclic terms too.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
 from operator import is_not
 
@@ -168,7 +169,7 @@ def clause_variables(c: Clause) -> list[Variable]:
 
 
 def rename_clause(c: Clause, ctr: RenameCounter,
-                  avoid: frozenset[str] | set[str]) -> tuple[Clause, RenameCounter]:
+                  avoid: Container[str]) -> tuple[Clause, RenameCounter]:
     """Copy c with fresh variables.
 
     Every variable gets a new id. Display names are kept as written

@@ -205,9 +205,18 @@ def test_main_rejects_bad_limits(capsys):
 
 
 def test_main_rejects_bad_width(capsys):
-    code = main(["--db", "romance", "--query", "p", "--width", "10"])
-    assert code == EXIT_ERROR
-    assert "max_width" in capsys.readouterr().err
+    for width in ("10", "0"):
+        code = main(["--db", "romance", "--query", "p", "--width", width])
+        assert code == EXIT_ERROR
+        assert "max_width" in capsys.readouterr().err
+
+
+def test_db_file_that_is_not_utf8_is_an_error(tmp_path):
+    db = tmp_path / "latin1.pl"
+    db.write_bytes(b"p(\xff).\n")
+    code, out, err = invoke(RunConfig(db=str(db), query="p(X)"))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith(f"error: {db} is not UTF-8") and err.count("\n") == 1
 
 
 def test_main_rejects_unknown_format():

@@ -234,6 +234,45 @@ def test_limits_validate():
         EngineOptions(rename="greek")
 
 
+# -- renaming ---------------------------------------------------------------
+
+def goal_lists(tree):
+    """Each node's goals as text, in depth-first order."""
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append(seq_text(node.goals))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def test_a_name_off_the_path_is_kept():
+    # X was shown only on the branch of a, which is done when b expands
+    tree = build("s :- a. s :- b. a :- c(X). b :- c(X). c(1).", "s")
+    assert goal_lists(tree) == ["s", "a", "c(X)", "", "b", "c(X)", ""]
+
+
+def test_a_name_stays_on_the_path_while_an_ancestor_shows_it():
+    # q(X) also showed X, but the root still does when r expands
+    tree = build("q(1). w. r :- t(X). t(2).", "(q(X) ; r), w")
+    assert "t(X'),w" in goal_lists(tree)
+
+
+def test_a_name_shown_only_on_an_edge_label_is_on_the_path():
+    tree = build("p(Y) :- r. r :- t(Y). t(1).", "p(X)")
+    assert goal_lists(tree) == ["p(X)", "r", "t(Y')", ""]
+
+
+def test_a_name_issued_on_another_branch_stays_avoided():
+    # the first branch renames A1 to A11 and counts on to generation 11,
+    # whose A would be A11 again, so b's clause takes A12
+    nine = "s(" * 9 + "z" + ")" * 9
+    tree = build(f"s :- a(A1). s :- b(A). a(A1) :- c({nine}, A1)."
+                 " c(z, _). c(s(N), V) :- c(N, V). b(A) :- e(A). e(_).",
+                 "s", options=EngineOptions(rename="numeric"))
+    assert goal_lists(tree)[-4:] == ["", "b(A)", "e(A12)", ""]
+
+
 # -- tree shape invariants ------------------------------------------------------
 
 @pytest.mark.parametrize("name,query", [
@@ -333,6 +372,14 @@ def test_expand_wrapper_steps_once():
     assert node.children == children
     assert len(children) == 2
     assert all(c.status is OPEN for c in children)
+
+
+def test_expand_wrapper_renames_away_from_the_node_names():
+    # as in a real build, a rule variable whose name the node shows moves
+    # to the next generation
+    program = parse_program("p(X) :- q(X, Y).")
+    (child,), _ = expand(SearchNode(parse_query("p(X)")), program)
+    assert seq_text(child.goals) == "q(X',Y')"
 
 
 def test_apply_cut_stops_at_the_barrier_owner():

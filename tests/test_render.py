@@ -60,20 +60,6 @@ def test_leaf_glyphs():
     assert render_text(tree).splitlines()[-1].strip() == "..."
 
 
-def test_custom_glyphs():
-    tree = build("p(a).", "p(X)")
-    text = render_text(tree, RenderOptions(success_glyph="YES"))
-    assert text.splitlines()[-1].strip() == "YES"
-
-
-def test_show_boxes_off_drops_the_brackets():
-    tree = build("p(a).", "p(X), true")
-    boxed = render_text(tree)
-    bare = render_text(tree, RenderOptions(show_boxes=False))
-    assert "[p(X),true]" in boxed
-    assert "p(X),true" in bare and "[p(X),true]" not in bare
-
-
 def test_width_floor_is_enforced():
     with pytest.raises(ValueError):
         RenderOptions(max_width=MIN_WIDTH - 1)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
@@ -79,3 +81,12 @@ def test_is_callable_and_indicator():
     assert not is_callable(var("X"))
     assert indicator(Compound("f", (Atom("a"), Atom("b")))) == ("f", 2)
     assert indicator(Atom("p")) == ("p", 0)
+
+
+def test_variables_of_walks_terms_deeper_than_the_recursion_limit():
+    x, y = var("X"), var("Y")
+    t = x
+    for _ in range(sys.getrecursionlimit() + 100):
+        t = Compound("f", (t, y))
+    assert variables_of(Compound("g", (y, t))) == [y, x]
+    assert variables_of(t) == [x, y]
