@@ -71,6 +71,12 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         return EXIT_ERROR
 
     try:
+        render_options = RenderOptions(max_width=cfg.width)
+    except ValueError as e:
+        print(f"error: {e}", file=err)
+        return EXIT_ERROR
+
+    try:
         db_text = _load_db(cfg.db)
     except OSError as e:
         print(f"error: {e}", file=err)
@@ -86,7 +92,7 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         tree = build_tree(program, query, cfg.limits, options)
         answers = solutions(tree)
         if cfg.format == "ascii":
-            drawing = render_text(tree, RenderOptions(max_width=cfg.width))
+            drawing = render_text(tree, render_options)
         elif cfg.format == "canonical":
             drawing = serialize(tree)
         else:
@@ -142,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
                         limits=limits, unknown=args.unknown,
                         rename=args.rename, width=args.width,
                         list_fixtures=args.list_fixtures)
-        RenderOptions(max_width=cfg.width)  # validate early
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
