@@ -18,6 +18,7 @@ from .fixtures import FIXTURES, fixture_text
 from .reader import parse_program, parse_query
 from .render import RenderOptions, render_text
 from .serialize import serialize
+from .unify import RENAME_STYLES
 
 EXIT_OK = 0
 EXIT_NO_ANSWERS = 1
@@ -97,6 +98,7 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
             drawing = serialize(tree)
         else:
             drawing = None
+        answers_text = _answers_section(answers)
     except PrologError as e:
         print(f"error: {e}", file=err)
         return EXIT_ERROR
@@ -108,7 +110,7 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
     if drawing is not None:
         out.write(drawing)
         out.write("\n")
-    out.write(_answers_section(answers))
+    out.write(answers_text)
 
     if tree.truncated:
         print("warning: tree truncated by depth/node limits", file=err)
@@ -131,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=Limits().max_nodes)
     p.add_argument("--unknown", choices=("fail", "error"), default="fail",
                    help="how to treat goals with no defining clauses")
-    p.add_argument("--rename", choices=("prime", "numeric"), default="prime",
+    p.add_argument("--rename", choices=RENAME_STYLES, default="prime",
                    help="display style for renamed clause variables")
     p.add_argument("--width", type=int, default=120,
                    help="soft column budget for the ascii layout")

@@ -13,7 +13,7 @@ that introduced its barrier, inclusive.
 from __future__ import annotations
 
 import itertools
-from collections import ChainMap, Counter
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,8 +21,7 @@ from .errors import CyclicTermError, InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
-from .unify import (RenameCounter, Substitution, clause_variables,
-                    rename_clause, unify)
+from .unify import RENAME_STYLES, Substitution, rename_clause, unify
 
 
 class NodeStatus(Enum):
@@ -59,6 +58,8 @@ class SearchNode:
     pre_barriers: frozenset[int] = frozenset()
     # barriers this node's expansion introduced; cut targets
     frame_barriers: frozenset[int] = frozenset()
+    # lowest generation a clause renamed to expand this node may take
+    floor: int = 1
 
     @property
     def is_leaf(self) -> bool:
@@ -78,12 +79,12 @@ class Limits:
 @dataclass(frozen=True)
 class EngineOptions:
     unknown: str = "fail"  # or "error"
-    rename: str = "prime"  # or "numeric"
+    rename: str = "prime"  # or another of RENAME_STYLES
 
     def __post_init__(self) -> None:
         if self.unknown not in ("fail", "error"):
             raise ValueError(f"unknown-predicate policy: {self.unknown}")
-        if self.rename not in ("prime", "numeric"):
+        if self.rename not in RENAME_STYLES:
             raise ValueError(f"rename style: {self.rename}")
 
 
@@ -179,11 +180,8 @@ class _Builder:
         self.program = program
         self.limits = limits
         self.options = options
-        self.ctr = RenameCounter(1, options.rename)
-        self.issued: set[str] = set()
         # per variable name, how many nodes on the DFS path show it
         self.path: Counter[str] = Counter()
-        self.avoid = ChainMap(self.path, self.issued)  # renaming checks `in`
         self._barrier = itertools.count(1)
         self.node_count = 1  # the root
         self.truncated = False
@@ -269,20 +267,15 @@ class _Builder:
         return children
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
-        return SearchNode(goals, answer=node.answer)
+        return SearchNode(goals, answer=node.answer, floor=node.floor)
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, barrier: int) -> SearchNode:
         # facts only need fresh ids; display renaming is for rule bodies,
         # whose variables survive into the child node
-        if clause.is_fact:
-            renamed, self.ctr = rename_clause(clause, self.ctr, frozenset())
-        else:
-            before = {v.name for v in clause_variables(clause)}
-            renamed, self.ctr = rename_clause(clause, self.ctr, self.avoid)
-            self.issued.update(
-                v.name for v in clause_variables(renamed)
-                if not v.is_anonymous and v.name not in before)
+        renamed, floor = rename_clause(
+            clause, frozenset() if clause.is_fact else self.path, node.floor,
+            self.options.rename)
         sigma = unify(call.term, renamed.head)
         if sigma is None:
             return _fail_leaf()
@@ -295,7 +288,7 @@ class _Builder:
             except CyclicTermError as e:
                 answer = e
         return SearchNode(goals, label=_label_for(call.term, sigma),
-                          answer=answer)
+                          answer=answer, floor=floor)
 
 
 def build_tree(program: Program, query: GoalSeq,
@@ -315,15 +308,12 @@ def build_tree(program: Program, query: GoalSeq,
 
 
 def expand(node: SearchNode, program: Program,
-           counter: RenameCounter = RenameCounter(),
-           options: EngineOptions | None = None
-           ) -> tuple[list[SearchNode], RenameCounter]:
+           options: EngineOptions | None = None) -> list[SearchNode]:
     """One expansion step on its own, mainly for poking at the rules."""
     builder = _Builder(program, Limits(), options or EngineOptions())
-    builder.ctr = counter
     builder.path.update(_names_of(node.goals, node.label))
     node.children = builder.expand(node)
-    return node.children, builder.ctr
+    return node.children
 
 
 def solutions(tree: SearchTree) -> list[Answer]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Container
-from dataclasses import dataclass
 from operator import is_not
 
 from .errors import CyclicTermError
@@ -141,22 +140,12 @@ def unify(t1: Term, t2: Term) -> Substitution | None:
     return Substitution(bindings)
 
 
-@dataclass(frozen=True)
-class RenameCounter:
-    """Counts clause-renaming generations within one tree build."""
-    next_index: int = 1
-    style: str = "prime"  # "prime": X', X''  "numeric": X1, X2
+RENAME_STYLES = ("prime", "numeric")  # X', X'' ...  or  X1, X2 ...
 
-    def __post_init__(self) -> None:
-        if self.style not in ("prime", "numeric"):
-            raise ValueError(f"unknown rename style: {self.style}")
-        if self.next_index < 1:
-            raise ValueError("rename index starts at 1")
 
-    def derive(self, base: str, k: int) -> str:
-        if self.style == "prime":
-            return base + "'" * k
-        return base + str(k)
+def derive(base: str, k: int, style: str) -> str:
+    """The generation-k display name of base."""
+    return base + "'" * k if style == "prime" else base + str(k)
 
 
 def clause_variables(c: Clause) -> list[Variable]:
@@ -168,25 +157,25 @@ def clause_variables(c: Clause) -> list[Variable]:
     return list(seen)
 
 
-def rename_clause(c: Clause, ctr: RenameCounter,
-                  avoid: Container[str]) -> tuple[Clause, RenameCounter]:
-    """Copy c with fresh variables.
+def rename_clause(c: Clause, avoid: Container[str], first: int,
+                  style: str) -> tuple[Clause, int]:
+    """Copy c with fresh variables; also return the next floor.
 
     Every variable gets a new id. Display names are kept as written
-    unless one of them collides with `avoid`; then all of them move to
-    the next generation (X', L' ... or X1, L1 ...) together, skipping
-    generations that still collide. Anonymous variables stay '_'.
+    unless one of them is in `avoid`; then all of them move together to
+    the first generation k >= first whose names `avoid` does not hold,
+    and the next floor is k + 1. Otherwise it stays `first`. Anonymous
+    variables stay '_'.
     """
     vs = clause_variables(c)
     named = [v for v in vs if not v.is_anonymous]
     mapping: dict[Variable, Term] = {}
-    if named and any(v.name in avoid for v in named):
-        k = ctr.next_index
-        while any(ctr.derive(v.name, k) in avoid for v in named):
-            k += 1
+    if any(v.name in avoid for v in named):
+        while any(derive(v.name, first, style) in avoid for v in named):
+            first += 1
         for v in named:
-            mapping[v] = Variable(ctr.derive(v.name, k))
-        ctr = RenameCounter(k + 1, ctr.style)
+            mapping[v] = Variable(derive(v.name, first, style))
+        first += 1
     else:
         for v in named:
             mapping[v] = Variable(v.name)
@@ -194,4 +183,4 @@ def rename_clause(c: Clause, ctr: RenameCounter,
         if v.is_anonymous:
             mapping[v] = Variable("_")
     renaming = Substitution(mapping)
-    return Clause(renaming.apply(c.head), renaming.apply_goals(c.body)), ctr
+    return Clause(renaming.apply(c.head), renaming.apply_goals(c.body)), first

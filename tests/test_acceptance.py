@@ -19,7 +19,7 @@ from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import serialize
 from sldtree.terms import Atom, Compound, Variable
-from sldtree.unify import RenameCounter, clause_variables, rename_clause, unify
+from sldtree.unify import clause_variables, rename_clause, unify
 
 SUCCESS = NodeStatus.SUCCESS
 FAIL = NodeStatus.FAIL
@@ -223,7 +223,7 @@ def test_criterion_07_unifier_properties():
                                    for _ in range(rng.randint(1, 3))))
         clause = Clause(head)
         avoid = frozenset(rng.sample(("X", "Y", "X'", "Y'"), rng.randint(0, 4)))
-        renamed, _ = rename_clause(clause, RenameCounter(), avoid)
+        renamed, _ = rename_clause(clause, avoid, 1, "prime")
         old, new = clause_variables(clause), clause_variables(renamed)
         assert not set(old) & set(new)
         assert all(v.name == "_" or v.name not in avoid for v in new)

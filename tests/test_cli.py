@@ -158,6 +158,19 @@ def test_too_deep_input_is_an_error_not_no_answers():
     assert "Traceback" not in err
 
 
+def test_an_answer_too_deep_to_print_is_an_error_not_no_answers(
+        tmp_path, capsys):
+    db = tmp_path / "nat.pl"
+    db.write_text("n(0).\nn(succ(X)) :- n(X).\n", encoding="utf-8")
+    code = main(["--db", str(db), "--query", "n(X)",
+                 "--format", "answers-only", "--max-depth", "1200"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_list_fixtures():
     code, out, err = invoke(RunConfig(list_fixtures=True))
     assert code == EXIT_OK

@@ -1,14 +1,16 @@
 import pytest
 
+from sldtree.cli import _build_parser, _load_db
 from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
                             SearchNode, apply_cut, build_tree, expand,
                             solutions)
 from sldtree.errors import (CyclicTermError, InstantiationError,
                             UnknownPredicateError)
 from sldtree.fixtures import load_fixture
-from sldtree.kb import seq_text
+from sldtree.kb import Call, goal_variables, seq_text
 from sldtree.reader import parse_program, parse_query
-from sldtree.terms import term_text
+from sldtree.terms import indicator, term_text, variables_of
+from test_golden import cases as golden_cases
 
 OPEN = NodeStatus.OPEN
 SUCCESS = NodeStatus.SUCCESS
@@ -263,14 +265,71 @@ def test_a_name_shown_only_on_an_edge_label_is_on_the_path():
     assert goal_lists(tree) == ["p(X)", "r", "t(Y')", ""]
 
 
-def test_a_name_issued_on_another_branch_stays_avoided():
-    # the first branch renames A1 to A11 and counts on to generation 11,
-    # whose A would be A11 again, so b's clause takes A12
+def test_a_name_issued_on_another_branch_is_reused():
+    # the first branch renames A1 to A11 and climbs to generation 11, but
+    # none of that is on b's path, so b's clause takes generation 1 again
     nine = "s(" * 9 + "z" + ")" * 9
     tree = build(f"s :- a(A1). s :- b(A). a(A1) :- c({nine}, A1)."
                  " c(z, _). c(s(N), V) :- c(N, V). b(A) :- e(A). e(_).",
                  "s", options=EngineOptions(rename="numeric"))
-    assert goal_lists(tree)[-4:] == ["", "b(A)", "e(A12)", ""]
+    assert goal_lists(tree)[-4:] == ["", "b(A)", "e(A1)", ""]
+
+
+def test_clause_children_of_one_node_start_from_the_same_floor():
+    # the first clause is renamed to X' before its head fails; the second
+    # takes X' as well, not X''
+    tree = build("p(X, b) :- q(X). p(X, a) :- q(X). q(1).", "p(X, a)")
+    assert goal_lists(tree) == ["p(X,a)", "", "q(X')", ""]
+
+
+def test_a_renamed_child_raises_the_floor_for_its_subtree():
+    # X' is bound to a and no node shows it, but p's clause was renamed
+    # to generation 1 on the way, so the next renaming starts at 2
+    tree = build("p(X, Y) :- r. r :- t(X). t(1).", "p(a, X)")
+    assert goal_lists(tree) == ["p(a,X)", "r", "t(X'')", ""]
+
+
+def shown_variables(node):
+    """The variables a node shows: in its goals and on its edge label."""
+    vs = goal_variables(node.goals)
+    for v, t in node.label.bindings:
+        vs += [v, *variables_of(t)]
+    return {v for v in vs if not v.is_anonymous}
+
+
+def golden_trees():
+    """One tree per distinct database, query and limits of the goldens."""
+    seen = {}
+    for argv in golden_cases().values():
+        args = _build_parser().parse_args(argv)
+        key = (args.db, args.query, args.max_depth, args.max_nodes)
+        if key not in seen:
+            program = parse_program(_load_db(args.db))
+            seen[key] = program, build_tree(
+                program, parse_query(args.query),
+                Limits(args.max_depth, args.max_nodes))
+    return list(seen.values())
+
+
+def test_a_renamed_variable_never_shows_a_name_of_its_path():
+    renamed = 0
+    for program, tree in golden_trees():
+        # (node, names shown by the node and its ancestors)
+        stack = [(tree.root, frozenset())]
+        while stack:
+            node, above = stack.pop()
+            own = shown_variables(node)
+            path = above | {v.name for v in own}
+            g = node.goals[0] if node.goals else None
+            clauses = (program.clauses_for(indicator(g.term))
+                       if isinstance(g, Call) else [])
+            for i, child in enumerate(node.children):
+                if i < len(clauses) and not clauses[i].is_fact:
+                    for v in shown_variables(child) - own:
+                        assert v.name not in path, (seq_text(node.goals), v)
+                        renamed += v.name.endswith("'")
+                stack.append((child, path))
+    assert renamed > 100  # primed names: the rule was exercised
 
 
 # -- tree shape invariants ------------------------------------------------------
@@ -368,7 +427,7 @@ def test_rebuilding_gives_identical_answers_and_statuses():
 def test_expand_wrapper_steps_once():
     program = parse_program("p(a). p(b).")
     node = SearchNode(parse_query("p(X)"))
-    children, _ = expand(node, program)
+    children = expand(node, program)
     assert node.children == children
     assert len(children) == 2
     assert all(c.status is OPEN for c in children)
@@ -378,7 +437,7 @@ def test_expand_wrapper_renames_away_from_the_node_names():
     # as in a real build, a rule variable whose name the node shows moves
     # to the next generation
     program = parse_program("p(X) :- q(X, Y).")
-    (child,), _ = expand(SearchNode(parse_query("p(X)")), program)
+    (child,) = expand(SearchNode(parse_query("p(X)")), program)
     assert seq_text(child.goals) == "q(X',Y')"
 
 

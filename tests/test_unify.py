@@ -6,7 +6,7 @@ from sldtree.errors import CyclicTermError
 from sldtree.reader import parse_program, parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, term_text,
                            variables_of)
-from sldtree.unify import (RenameCounter, Substitution, clause_variables,
+from sldtree.unify import (Substitution, clause_variables, derive,
                            rename_clause, unify)
 
 
@@ -181,8 +181,8 @@ def first_clause(src):
 
 def test_renaming_a_fact_keeps_display_names():
     c = first_clause("member(X, [X|_]).")
-    renamed, ctr = rename_clause(c, RenameCounter(), avoid=frozenset())
-    assert ctr == RenameCounter()  # no collision, generation not consumed
+    renamed, floor = rename_clause(c, frozenset(), 1, "prime")
+    assert floor == 1  # no collision, generation not consumed
     old = clause_variables(c)
     new = clause_variables(renamed)
     assert [w.name for w in new] == [w.name for w in old]
@@ -191,31 +191,37 @@ def test_renaming_a_fact_keeps_display_names():
 
 def test_renaming_moves_all_named_variables_on_any_collision():
     c = first_clause("member(X, [_|L]) :- member(X, L).")
-    renamed, ctr = rename_clause(c, RenameCounter(), avoid={"X"})
-    assert ctr.next_index == 2
+    renamed, floor = rename_clause(c, {"X"}, 1, "prime")
+    assert floor == 2
     names = {w.name for w in clause_variables(renamed)}
     assert names == {"X'", "L'", "_"}
 
 
 def test_renaming_skips_colliding_generations():
     c = first_clause("p(X) :- q(X).")
-    renamed, ctr = rename_clause(c, RenameCounter(), avoid={"X", "X'", "X''"})
+    renamed, floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime")
     assert clause_variables(renamed)[0].name == "X'''"
-    assert ctr.next_index == 4
+    assert floor == 4
+
+
+def test_renaming_starts_at_the_floor():
+    c = first_clause("p(X) :- q(X).")
+    renamed, floor = rename_clause(c, {"X"}, 3, "prime")
+    assert clause_variables(renamed)[0].name == "X'''"
+    assert floor == 4
 
 
 def test_numeric_rename_style():
     c = first_clause("descend(X,Y) :- child(X,Z), descend(Z,Y).")
-    renamed, ctr = rename_clause(c, RenameCounter(style="numeric"),
-                                 avoid={"Z"})
+    renamed, floor = rename_clause(c, {"Z"}, 1, "numeric")
     names = [w.name for w in clause_variables(renamed)]
     assert names == ["X1", "Y1", "Z1"]
-    assert ctr == RenameCounter(2, "numeric")
+    assert floor == 2
 
 
 def test_renaming_is_a_bijection_on_occurrences():
     c = first_clause("append([H|T], L2, [H|L3]) :- append(T, L2, L3).")
-    renamed, _ = rename_clause(c, RenameCounter(), avoid={"H"})
+    renamed, _ = rename_clause(c, {"H"}, 1, "prime")
     head_h = renamed.head.args[0].args[0]
     out_h = renamed.head.args[2].args[0]
     assert head_h == out_h  # shared occurrences stay shared
@@ -227,7 +233,7 @@ def test_renaming_is_a_bijection_on_occurrences():
 
 def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
     c = first_clause("p(_, _, X).")
-    renamed, _ = rename_clause(c, RenameCounter(), avoid={"X"})
+    renamed, _ = rename_clause(c, {"X"}, 1, "prime")
     a, b, x = renamed.head.args
     assert a.name == "_" and b.name == "_" and a != b
     assert x.name == "X'"
@@ -235,14 +241,10 @@ def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
 
 def test_renamed_clause_shares_no_variables_with_original():
     c = first_clause("p(X, Y) :- q(X), r(Y).")
-    renamed, _ = rename_clause(c, RenameCounter(), avoid=frozenset())
+    renamed, _ = rename_clause(c, frozenset(), 1, "prime")
     assert not set(clause_variables(c)) & set(clause_variables(renamed))
 
 
-def test_rename_counter_validates():
-    with pytest.raises(ValueError):
-        RenameCounter(style="greek")
-    with pytest.raises(ValueError):
-        RenameCounter(next_index=0)
-    assert RenameCounter().derive("X", 3) == "X'''"
-    assert RenameCounter(style="numeric").derive("X", 3) == "X3"
+def test_derive_names_a_generation_in_each_style():
+    assert derive("X", 3, "prime") == "X'''"
+    assert derive("X", 3, "numeric") == "X3"
