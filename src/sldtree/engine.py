@@ -271,15 +271,23 @@ class _Builder:
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, barrier: int) -> SearchNode:
-        # facts only need fresh ids; display renaming is for rule bodies,
-        # whose variables survive into the child node
-        renamed, floor = rename_clause(
-            clause, frozenset() if clause.is_fact else self.path, node.floor,
-            self.options.rename)
-        sigma = unify(call.term, renamed.head)
+        # Try the head as parsed, before any renaming. No variable of a
+        # parsed program clause ever enters the tree (each use of a clause
+        # with variables is a renamed copy with fresh ids), so the call
+        # shares none with the clause, and its head matches exactly when
+        # the renamed head does. Only a matching clause with variables is
+        # renamed: facts only need fresh ids, and display renaming is for
+        # rule bodies, whose variables survive into the child node.
+        sigma = unify(call.term, clause.head)
         if sigma is None:
             return _fail_leaf()
-        body = _tag_cuts(renamed.body, barrier)
+        floor = node.floor
+        if clause.variables:
+            clause, floor = rename_clause(
+                clause, frozenset() if clause.is_fact else self.path, floor,
+                self.options.rename)
+            sigma = unify(call.term, clause.head)
+        body = _tag_cuts(clause.body, barrier)
         goals = sigma.apply_goals(body + rest)
         answer = node.answer
         if isinstance(answer, tuple):

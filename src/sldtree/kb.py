@@ -7,6 +7,7 @@ negation hold whole sequences for the same reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .terms import Term, atom_text, indicator, is_callable, term_text, variables_of, Variable
@@ -79,22 +80,25 @@ class Clause:
     def is_fact(self) -> bool:
         return not self.body
 
+    @cached_property
+    def variables(self) -> tuple[Variable, ...]:
+        """Head then body variables, first occurrence first."""
+        return tuple(dict.fromkeys(
+            variables_of(self.head) + goal_variables(self.body)))
+
 
 class Program:
     """Clauses grouped by (name, arity), source order preserved."""
 
     def __init__(self, clauses: list[Clause] | tuple[Clause, ...] = ()):
-        self._by_pred: dict[tuple[str, int], list[Clause]] = {}
-        self._order: list[Clause] = []
-        for c in clauses:
-            self.add(c)
+        self._order = tuple(clauses)
+        by_pred: dict[tuple[str, int], list[Clause]] = {}
+        for c in self._order:
+            by_pred.setdefault(indicator(c.head), []).append(c)
+        self._by_pred = {k: tuple(cs) for k, cs in by_pred.items()}
 
-    def add(self, clause: Clause) -> None:
-        self._by_pred.setdefault(indicator(clause.head), []).append(clause)
-        self._order.append(clause)
-
-    def clauses_for(self, key: tuple[str, int]) -> list[Clause]:
-        return list(self._by_pred.get(key, ()))
+    def clauses_for(self, key: tuple[str, int]) -> tuple[Clause, ...]:
+        return self._by_pred.get(key, ())
 
     def defines(self, key: tuple[str, int]) -> bool:
         return key in self._by_pred

@@ -7,6 +7,7 @@ negation. '%' starts a line comment, clauses end with '.'.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import PrologError
@@ -35,98 +36,65 @@ class ParseError(PrologError):
 # token kinds
 _ATOM, _VAR, _INT, _PUNCT, _EOF = "atom", "var", "int", "punct", "eof"
 
-_PUNCTUATION = (":-", "=<", ">=", "\\+", "(", ")", "[", "]",
-                ",", "|", ";", "!", ".", "<", ">")
+_Token = tuple[str, str, int]  # kind, value, offset into the text
+
+# one alternative per token kind, tried in order at each offset. \d is
+# exactly the digits int() reads. The closing quote of a quoted atom may
+# not start a '' pair, so backtracking cannot end an unterminated atom
+# inside one. `bad` takes any character that starts no token.
+_TOKEN = re.compile(r"""
+    (?P<layout>[ \t\r\n]+)
+  | (?P<comment>%[^\n]*)
+  | (?P<int>-?\d+)
+  | (?P<name>\w+)
+  | (?P<quoted>'[^'\n]*(?:''[^'\n]*)*'(?!'))
+  | (?P<punct>:-|=<|>=|\\\+|[()\[\],|;!.<>])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    pos: SourcePosition
+def _position(text: str, offset: int) -> SourcePosition:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourcePosition(text.count("\n", 0, offset) + 1,
+                          offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, ending with an EOF token."""
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def here() -> SourcePosition:
-        return SourcePosition(line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    eof = len(text)
+    for m in _TOKEN.finditer(text):
+        kind, value, offset = m.lastgroup, m.group(), m.start()
+        if kind == "layout":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            # a comment moves no column: a text that ends in one ends
+            # where the comment starts
+            if m.end() == len(text):
+                eof = offset
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = here()
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token(_INT, text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch.islower():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token(_ATOM, text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch.isupper() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token(_VAR, text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise ParseError("unterminated quoted atom", start)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":  # '' is a literal quote
-                        buf.append("'")
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                buf.append(text[j])
-                j += 1
-            tokens.append(_Token(_ATOM, "".join(buf), start))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCTUATION:
-            if text.startswith(p, i):
-                tokens.append(_Token(_PUNCT, p, start))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append(_Token(_EOF, "", here()))
+        if kind == "name":
+            if value[0].islower():
+                kind = _ATOM
+            elif value[0].isupper() or value[0] == "_":
+                kind = _VAR
+            else:  # a letter without case, or a digit int() rejects
+                raise ParseError(f"unexpected character {value[0]!r}",
+                                 _position(text, offset))
+        elif kind == "quoted":
+            kind, value = _ATOM, value[1:-1].replace("''", "'")
+        elif kind == "bad":
+            raise ParseError("unterminated quoted atom" if value == "'"
+                             else f"unexpected character {value!r}",
+                             _position(text, offset))
+        tokens.append((kind, value, offset))
+    tokens.append((_EOF, "", eof))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.scope: dict[str, Variable] = {}
@@ -143,15 +111,19 @@ class _Parser:
         return t
 
     def at_punct(self, value: str) -> bool:
-        return self.tok.kind == _PUNCT and self.tok.value == value
+        kind, text, _ = self.tok
+        return kind == _PUNCT and text == value
 
     def expect(self, value: str) -> _Token:
         if not self.at_punct(value):
-            raise ParseError(f"expected {value!r}", self.tok.pos)
+            raise self.fail(f"expected {value!r}")
         return self.advance()
 
-    def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.tok.pos)
+    def fail(self, message: str, offset: int | None = None) -> ParseError:
+        """An error at `offset`, by default the current token's."""
+        if offset is None:
+            offset = self.tok[2]
+        return ParseError(message, _position(self.text, offset))
 
     # -- terms --------------------------------------------------------
 
@@ -163,14 +135,14 @@ class _Parser:
         return self.scope[name]
 
     def term(self) -> Term:
-        t = self.tok
-        if t.kind == _VAR:
+        kind, value, _ = self.tok
+        if kind == _VAR:
             self.advance()
-            return self.variable(t.value)
-        if t.kind == _INT:
+            return self.variable(value)
+        if kind == _INT:
             self.advance()
-            return Integer(int(t.value))
-        if t.kind == _ATOM:
+            return Integer(int(value))
+        if kind == _ATOM:
             self.advance()
             if self.at_punct("("):
                 self.advance()
@@ -179,8 +151,8 @@ class _Parser:
                     self.advance()
                     args.append(self.term())
                 self.expect(")")
-                return Compound(t.value, tuple(args))
-            return Atom(t.value)
+                return Compound(value, tuple(args))
+            return Atom(value)
         if self.at_punct("["):
             return self.list_tail()
         raise self.fail("expected a term")
@@ -238,18 +210,18 @@ class _Parser:
             # a parenthesised conjunction stays one unit under '\+';
             # elsewhere it flattens, so wrap only when needed
             return _Group(inner)
-        pos = self.tok.pos
-        if (self.tok.kind == _ATOM and self.tok.value == "not"
-                and self.tokens[self.i + 1].kind == _PUNCT
-                and self.tokens[self.i + 1].value == "("):
+        kind, value, offset = self.tok
+        if (kind == _ATOM and value == "not"
+                and self.tokens[self.i + 1][:2] == (_PUNCT, "(")):
             self.advance()
             self.advance()
             inner = self.goal_seq()
             self.expect(")")
             return Negation(inner)
         term = self.term()
-        if self.tok.kind == _PUNCT and self.tok.value in ("<", ">", "=<", ">="):
-            op = self.advance().value
+        kind, op, _ = self.tok
+        if kind == _PUNCT and op in ("<", ">", "=<", ">="):
+            self.advance()
             rhs = self.term()
             return Compare(op, term, rhs)
         if isinstance(term, Atom):
@@ -258,17 +230,18 @@ class _Parser:
             if term.name in ("fail", "false"):
                 return FailGoal()
         if not is_callable(term):
-            raise ParseError("goal must be an atom or compound term", pos)
+            raise self.fail("goal must be an atom or compound term", offset)
         return Call(term)
 
     # -- clauses and entry points --------------------------------------
 
     def clause(self) -> Clause:
         self.scope = {}
-        pos = self.tok.pos
+        offset = self.tok[2]
         head = self.term()
         if not is_callable(head):
-            raise ParseError("clause head must be an atom or compound term", pos)
+            raise self.fail("clause head must be an atom or compound term",
+                            offset)
         if self.at_punct(":-"):
             self.advance()
             body = _flatten(self.goal_seq())
@@ -278,17 +251,17 @@ class _Parser:
         return Clause(head)
 
     def program(self) -> Program:
-        prog = Program()
-        while self.tok.kind != _EOF:
-            prog.add(self.clause())
-        return prog
+        clauses = []
+        while self.tok[0] != _EOF:
+            clauses.append(self.clause())
+        return Program(clauses)
 
     def query(self) -> GoalSeq:
         self.scope = {}
         goals = _flatten(self.goal_seq())
         if self.at_punct("."):
             self.advance()
-        if self.tok.kind != _EOF:
+        if self.tok[0] != _EOF:
             raise self.fail("unexpected input after query")
         return goals
 
@@ -327,6 +300,6 @@ def parse_query(text: str) -> GoalSeq:
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
-    if p.tok.kind != _EOF:
+    if p.tok[0] != _EOF:
         raise p.fail("unexpected input after term")
     return t

@@ -12,9 +12,8 @@ from collections.abc import Container
 from operator import is_not
 
 from .errors import CyclicTermError
-from .kb import (Call, Clause, Compare, Disjunction, Goal, GoalSeq, Negation,
-                 goal_variables)
-from .terms import Compound, Term, Variable, term_text, variables_of
+from .kb import Call, Clause, Compare, Disjunction, Goal, GoalSeq, Negation
+from .terms import Compound, Term, Variable, term_text
 
 
 class Substitution:
@@ -148,15 +147,6 @@ def derive(base: str, k: int, style: str) -> str:
     return base + "'" * k if style == "prime" else base + str(k)
 
 
-def clause_variables(c: Clause) -> list[Variable]:
-    seen: dict[Variable, None] = {}
-    for v in variables_of(c.head):
-        seen.setdefault(v)
-    for v in goal_variables(c.body):
-        seen.setdefault(v)
-    return list(seen)
-
-
 def rename_clause(c: Clause, avoid: Container[str], first: int,
                   style: str) -> tuple[Clause, int]:
     """Copy c with fresh variables; also return the next floor.
@@ -165,9 +155,11 @@ def rename_clause(c: Clause, avoid: Container[str], first: int,
     unless one of them is in `avoid`; then all of them move together to
     the first generation k >= first whose names `avoid` does not hold,
     and the next floor is k + 1. Otherwise it stays `first`. Anonymous
-    variables stay '_'.
+    variables stay '_'. A clause with no variables is returned as is.
     """
-    vs = clause_variables(c)
+    vs = c.variables
+    if not vs:
+        return c, first
     named = [v for v in vs if not v.is_anonymous]
     mapping: dict[Variable, Term] = {}
     if any(v.name in avoid for v in named):

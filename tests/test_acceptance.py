@@ -19,7 +19,7 @@ from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import serialize
 from sldtree.terms import Atom, Compound, Variable
-from sldtree.unify import clause_variables, rename_clause, unify
+from sldtree.unify import rename_clause, unify
 
 SUCCESS = NodeStatus.SUCCESS
 FAIL = NodeStatus.FAIL
@@ -224,7 +224,7 @@ def test_criterion_07_unifier_properties():
         clause = Clause(head)
         avoid = frozenset(rng.sample(("X", "Y", "X'", "Y'"), rng.randint(0, 4)))
         renamed, _ = rename_clause(clause, avoid, 1, "prime")
-        old, new = clause_variables(clause), clause_variables(renamed)
+        old, new = clause.variables, renamed.variables
         assert not set(old) & set(new)
         assert all(v.name == "_" or v.name not in avoid for v in new)
         assert len(set(new)) == len(set(old))

@@ -232,6 +232,15 @@ def test_db_file_that_is_not_utf8_is_an_error(tmp_path):
     assert err.startswith(f"error: {db} is not UTF-8") and err.count("\n") == 1
 
 
+def test_a_digit_that_int_rejects_is_an_error_not_a_crash(tmp_path, capsys):
+    db = tmp_path / "sup.pl"
+    db.write_text("p(\u00b2).\n", encoding="utf-8")
+    code = main(["--db", str(db), "--query", "p(X)"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err == "error: line 1, column 3: unexpected character '\u00b2'\n"
+
+
 def test_main_rejects_unknown_format():
     with pytest.raises(SystemExit):
         main(["--db", "romance", "--query", "p", "--format", "yaml"])

@@ -1,5 +1,6 @@
 import pytest
 
+import sldtree.engine as engine
 from sldtree.cli import _build_parser, _load_db
 from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
                             SearchNode, apply_cut, build_tree, expand,
@@ -10,7 +11,8 @@ from sldtree.fixtures import load_fixture
 from sldtree.kb import Call, goal_variables, seq_text
 from sldtree.reader import parse_program, parse_query
 from sldtree.terms import indicator, term_text, variables_of
-from test_golden import cases as golden_cases
+from sldtree.unify import rename_clause
+from test_golden import DB, cases as golden_cases
 
 OPEN = NodeStatus.OPEN
 SUCCESS = NodeStatus.SUCCESS
@@ -330,6 +332,60 @@ def test_a_renamed_variable_never_shows_a_name_of_its_path():
                         renamed += v.name.endswith("'")
                 stack.append((child, path))
     assert renamed > 100  # primed names: the rule was exercised
+
+
+def tree_variables(node):
+    """Every variable in a node's goals, edge label and answer."""
+    vs = set(goal_variables(node.goals))
+    for v, t in node.label.bindings:
+        vs |= {v, *variables_of(t)}
+    if isinstance(node.answer, tuple):
+        for t in node.answer:
+            vs.update(variables_of(t))
+    return vs
+
+
+def test_no_variable_of_a_parsed_clause_enters_the_tree():
+    # why _clause_child may try a head before renaming the clause; the
+    # last tree leaves variables of facts unbound
+    facts = parse_program("q(Z, Z). r(_, _).")
+    trees = golden_trees() + [
+        (facts, build_tree(facts, parse_query("q(X, Y), r(Z, X)")))]
+    checked = clause_vars_seen = 0
+    for program, tree in trees:
+        clause_vars = {v for c in program.clauses for v in c.variables}
+        clause_vars_seen += len(clause_vars)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            assert not tree_variables(node) & clause_vars, seq_text(node.goals)
+            checked += 1
+            stack.extend(node.children)
+    assert checked > 500 and clause_vars_seen > 50
+
+
+def test_only_a_matching_clause_with_variables_is_renamed(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return rename_clause(*args)
+
+    monkeypatch.setattr(engine, "rename_clause", counted)
+    program = parse_program((DB / "perm.pl").read_text(encoding="utf-8"))
+    tree = build_tree(program, parse_query("perm([a,b,c], P)"))
+    expected = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.children and isinstance(node.goals[0], Call):
+            clauses = program.clauses_for(indicator(node.goals[0].term))
+            expected += sum(1 for c, child in zip(clauses, node.children)
+                            if c.variables and child.status is not FAIL)
+        stack.extend(node.children)
+    assert len(solutions(tree)) == 6
+    assert len(calls) == expected > 0
+    assert all(c.variables for c in calls)
 
 
 # -- tree shape invariants ------------------------------------------------------

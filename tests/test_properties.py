@@ -1,12 +1,15 @@
-"""Property tests of the canonical writer, the drawing canvas and unify.
+"""Property tests of the canonical writer, the drawing canvas, unify and
+the tokenizer.
 
 serialize() writes the canonical document by hand; json.dumps of the
 equivalent plain document is the oracle it must match byte for byte.
 The canvas search for a free connector column must agree with a
 column-by-column loop over free(). unify() must agree with a textbook
-unifier that does the occurs check.
+unifier that does the occurs check. The reader's pattern tokenizer must
+agree with the character loop it replaced.
 """
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -16,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sldtree.errors import CyclicTermError
+from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
@@ -198,3 +202,134 @@ def test_unify_agrees_with_a_textbook_occurs_check_unifier(t1, t2):
     assert _subst(want, t1) == _subst(want, t2)
     assert s.apply(both) == both
     assert is_variant(s.apply(t1), _subst(want, t1))
+
+
+# -- tokenizer --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    value: str
+    pos: SourcePosition
+
+
+def char_tokenize(text: str) -> list[_Token]:
+    """The reader's earlier character-by-character tokenizer, kept as the
+    oracle. One line is added: the parser converted each integer token
+    with int(), so the oracle does too, and raises ValueError where int()
+    rejects the digits that isdigit() accepted."""
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def here() -> SourcePosition:
+        return SourcePosition(line, col)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start = here()
+        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            int(text[i:j])  # the added line
+            tokens.append(_Token("int", text[i:j], start))
+            col += j - i
+            i = j
+            continue
+        if ch.islower():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("atom", text[i:j], start))
+            col += j - i
+            i = j
+            continue
+        if ch.isupper() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("var", text[i:j], start))
+            col += j - i
+            i = j
+            continue
+        if ch == "'":
+            j = i + 1
+            buf: list[str] = []
+            while True:
+                if j >= n or text[j] == "\n":
+                    raise ParseError("unterminated quoted atom", start)
+                if text[j] == "'":
+                    if j + 1 < n and text[j + 1] == "'":  # '' is a literal quote
+                        buf.append("'")
+                        j += 2
+                        continue
+                    j += 1
+                    break
+                buf.append(text[j])
+                j += 1
+            tokens.append(_Token("atom", "".join(buf), start))
+            col += j - i
+            i = j
+            continue
+        for p in (":-", "=<", ">=", "\\+", "(", ")", "[", "]",
+                  ",", "|", ";", "!", ".", "<", ">"):
+            if text.startswith(p, i):
+                tokens.append(_Token("punct", p, start))
+                col += len(p)
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", start)
+    tokens.append(_Token("eof", "", here()))
+    return tokens
+
+
+# pieces that make tokens, half-tokens and layout; ª is lowercase, Ⅻ is
+# uppercase, ǅ is titlecase, 中 has no case, ² and ⅷ are digits that int()
+# rejects, ٣ is a decimal digit it accepts
+PIECES = ("p", "foo", "X", "_", "_a", "a1", "'", "''", "'a b'", "%", "% c",
+          " ", "\t", "\r", "\n", "-", "-1", "1", "42", "(", ")", "[", "]",
+          ",", "|", ";", "!", ".", ":", ":-", "=", "=<", ">=", "<", ">", "\\",
+          "\\+", "é", "ß", "Ä", "ª", "Ⅻ", "ǅ", "中", "²", "ⅷ", "٣", "@", "\"")
+
+source_texts = st.lists(st.sampled_from(PIECES), max_size=14).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(source_texts)
+@example("p(X % c")
+@example("'ab''")
+@example("'a''' b")
+@example("p(X) :- 'it''s'.\r\n% done")
+@example("p(²).")
+@example("- 1 -1 -٣")
+def test_tokenize_agrees_with_the_character_loop(text):
+    try:
+        want = char_tokenize(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert str(got.value) == str(e)
+        return
+    except ValueError:
+        # an integer int() rejects: now an error, no longer a crash
+        with pytest.raises(ParseError, match="unexpected character"):
+            _tokenize(text)
+        return
+    got = [(kind, value, _position(text, offset))
+           for kind, value, offset in _tokenize(text)]
+    assert got == [(t.kind, t.value, t.pos) for t in want]

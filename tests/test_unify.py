@@ -6,8 +6,7 @@ from sldtree.errors import CyclicTermError
 from sldtree.reader import parse_program, parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, term_text,
                            variables_of)
-from sldtree.unify import (Substitution, clause_variables, derive,
-                           rename_clause, unify)
+from sldtree.unify import Substitution, derive, rename_clause, unify
 
 
 def v(name):
@@ -183,8 +182,8 @@ def test_renaming_a_fact_keeps_display_names():
     c = first_clause("member(X, [X|_]).")
     renamed, floor = rename_clause(c, frozenset(), 1, "prime")
     assert floor == 1  # no collision, generation not consumed
-    old = clause_variables(c)
-    new = clause_variables(renamed)
+    old = c.variables
+    new = renamed.variables
     assert [w.name for w in new] == [w.name for w in old]
     assert all(a != b for a, b in zip(old, new))  # ids always change
 
@@ -193,28 +192,28 @@ def test_renaming_moves_all_named_variables_on_any_collision():
     c = first_clause("member(X, [_|L]) :- member(X, L).")
     renamed, floor = rename_clause(c, {"X"}, 1, "prime")
     assert floor == 2
-    names = {w.name for w in clause_variables(renamed)}
+    names = {w.name for w in renamed.variables}
     assert names == {"X'", "L'", "_"}
 
 
 def test_renaming_skips_colliding_generations():
     c = first_clause("p(X) :- q(X).")
     renamed, floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime")
-    assert clause_variables(renamed)[0].name == "X'''"
+    assert renamed.variables[0].name == "X'''"
     assert floor == 4
 
 
 def test_renaming_starts_at_the_floor():
     c = first_clause("p(X) :- q(X).")
     renamed, floor = rename_clause(c, {"X"}, 3, "prime")
-    assert clause_variables(renamed)[0].name == "X'''"
+    assert renamed.variables[0].name == "X'''"
     assert floor == 4
 
 
 def test_numeric_rename_style():
     c = first_clause("descend(X,Y) :- child(X,Z), descend(Z,Y).")
     renamed, floor = rename_clause(c, {"Z"}, 1, "numeric")
-    names = [w.name for w in clause_variables(renamed)]
+    names = [w.name for w in renamed.variables]
     assert names == ["X1", "Y1", "Z1"]
     assert floor == 2
 
@@ -226,8 +225,8 @@ def test_renaming_is_a_bijection_on_occurrences():
     out_h = renamed.head.args[2].args[0]
     assert head_h == out_h  # shared occurrences stay shared
     assert head_h.name == "H'"
-    old = clause_variables(c)
-    new = clause_variables(renamed)
+    old = c.variables
+    new = renamed.variables
     assert len(set(new)) == len(set(old))
 
 
@@ -242,7 +241,14 @@ def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
 def test_renamed_clause_shares_no_variables_with_original():
     c = first_clause("p(X, Y) :- q(X), r(Y).")
     renamed, _ = rename_clause(c, frozenset(), 1, "prime")
-    assert not set(clause_variables(c)) & set(clause_variables(renamed))
+    assert not set(c.variables) & set(renamed.variables)
+
+
+def test_a_clause_without_variables_is_returned_as_is():
+    c = first_clause("p(a, [b]) :- q(c), \\+ r.")
+    renamed, floor = rename_clause(c, {"X"}, 3, "prime")
+    assert renamed is c
+    assert floor == 3
 
 
 def test_derive_names_a_generation_in_each_style():
