@@ -271,24 +271,13 @@ class _Builder:
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, barrier: int) -> SearchNode:
-        # Try the head as parsed, before any renaming. No variable of a
-        # parsed program clause ever enters the tree (each use of a clause
-        # with variables is a renamed copy with fresh ids), so the call
-        # shares none with the clause, and its head matches exactly when
-        # the renamed head does. Only a matching clause with variables is
-        # renamed: facts only need fresh ids, and display renaming is for
-        # rule bodies, whose variables survive into the child node.
-        sigma = unify(call.term, clause.head)
+        fresh, floor = rename_clause(
+            clause, frozenset() if clause.is_fact else self.path, node.floor,
+            self.options.rename)
+        sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
             return _fail_leaf()
-        floor = node.floor
-        if clause.variables:
-            clause, floor = rename_clause(
-                clause, frozenset() if clause.is_fact else self.path, floor,
-                self.options.rename)
-            sigma = unify(call.term, clause.head)
-        body = _tag_cuts(clause.body, barrier)
-        goals = sigma.apply_goals(body + rest)
+        goals = sigma.apply_goals(_tag_cuts(clause.body, barrier) + rest)
         answer = node.answer
         if isinstance(answer, tuple):
             try:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import Term, atom_text, indicator, is_callable, term_text, variables_of, Variable
+from .terms import (Compound, Term, Variable, atom_text, indicator,
+                    is_callable, term_text, variables_of)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
@@ -137,28 +138,27 @@ def seq_text(goals: GoalSeq) -> str:
 
 
 def goal_variables(goals: GoalSeq) -> list[Variable]:
-    """Variables of a goal sequence, first occurrence first."""
+    """Variables of a goal sequence, first occurrence first.
+
+    One walk over goals and terms alike, on an explicit stack, so a goal
+    nested any depth in ';' and '\\+' is no deeper for it than a flat one.
+    """
     seen: dict[Variable, None] = {}
-
-    def take(term: Term) -> None:
-        for v in variables_of(term):
-            seen.setdefault(v)
-
-    def walk(g: Goal) -> None:
-        if isinstance(g, Call):
-            take(g.term)
-        elif isinstance(g, Compare):
-            take(g.lhs)
-            take(g.rhs)
-        elif isinstance(g, Disjunction):
-            for sub in g.left + g.right:
-                walk(sub)
-        elif isinstance(g, Negation):
-            for sub in g.inner:
-                walk(sub)
-
-    for g in goals:
-        walk(g)
+    stack: list = list(reversed(goals))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Variable):
+            seen.setdefault(item)
+        elif isinstance(item, Compound):
+            stack.extend(reversed(item.args))
+        elif isinstance(item, Call):
+            stack.append(item.term)
+        elif isinstance(item, Compare):
+            stack += item.rhs, item.lhs
+        elif isinstance(item, Disjunction):
+            stack.extend(reversed(item.left + item.right))
+        elif isinstance(item, Negation):
+            stack.extend(reversed(item.inner))
     return list(seen)
 
 

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import PrologError
-from .kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal, Goal,
-                 GoalSeq, Negation, Program, TrueGoal)
+from .kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal, GoalSeq,
+                 Negation, Program, TrueGoal)
 from .terms import (Atom, Compound, Integer, Term, Variable, is_callable,
                     list_term)
 
@@ -195,21 +195,18 @@ class _Parser:
         if self.at_punct("\\+"):
             self.advance()
             return (Negation(self.negation()),)
-        return (self.primary_goal(),)
+        return self.primary_goal()
 
-    def primary_goal(self) -> Goal:
+    def primary_goal(self) -> GoalSeq:
+        """One goal as a 1-tuple, or a parenthesised sequence as parsed."""
         if self.at_punct("!"):
             self.advance()
-            return Cut()
+            return (Cut(),)
         if self.at_punct("("):
             self.advance()
             inner = self.goal_seq()
             self.expect(")")
-            if len(inner) == 1:
-                return inner[0]
-            # a parenthesised conjunction stays one unit under '\+';
-            # elsewhere it flattens, so wrap only when needed
-            return _Group(inner)
+            return inner
         kind, value, offset = self.tok
         if (kind == _ATOM and value == "not"
                 and self.tokens[self.i + 1][:2] == (_PUNCT, "(")):
@@ -217,21 +214,21 @@ class _Parser:
             self.advance()
             inner = self.goal_seq()
             self.expect(")")
-            return Negation(inner)
+            return (Negation(inner),)
         term = self.term()
         kind, op, _ = self.tok
         if kind == _PUNCT and op in ("<", ">", "=<", ">="):
             self.advance()
             rhs = self.term()
-            return Compare(op, term, rhs)
+            return (Compare(op, term, rhs),)
         if isinstance(term, Atom):
             if term.name == "true":
-                return TrueGoal()
+                return (TrueGoal(),)
             if term.name in ("fail", "false"):
-                return FailGoal()
+                return (FailGoal(),)
         if not is_callable(term):
             raise self.fail("goal must be an atom or compound term", offset)
-        return Call(term)
+        return (Call(term),)
 
     # -- clauses and entry points --------------------------------------
 
@@ -244,7 +241,7 @@ class _Parser:
                             offset)
         if self.at_punct(":-"):
             self.advance()
-            body = _flatten(self.goal_seq())
+            body = self.goal_seq()
             self.expect(".")
             return Clause(head, body)
         self.expect(".")
@@ -258,32 +255,12 @@ class _Parser:
 
     def query(self) -> GoalSeq:
         self.scope = {}
-        goals = _flatten(self.goal_seq())
+        goals = self.goal_seq()
         if self.at_punct("."):
             self.advance()
         if self.tok[0] != _EOF:
             raise self.fail("unexpected input after query")
         return goals
-
-
-@dataclass(frozen=True)
-class _Group:
-    """Parenthesised conjunction; dissolved by _flatten."""
-    goals: GoalSeq
-
-
-def _flatten(goals: tuple) -> GoalSeq:
-    out: list[Goal] = []
-    for g in goals:
-        if isinstance(g, _Group):
-            out.extend(_flatten(g.goals))
-        elif isinstance(g, Disjunction):
-            out.append(Disjunction(_flatten(g.left), _flatten(g.right)))
-        elif isinstance(g, Negation):
-            out.append(Negation(_flatten(g.inner)))
-        else:
-            out.append(g)
-    return tuple(out)
 
 
 def parse_program(text: str) -> Program:

@@ -8,7 +8,7 @@ compound subterms at most once, so it terminates on cyclic terms too.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Container
+from collections.abc import Container, Mapping
 from operator import is_not
 
 from .errors import CyclicTermError
@@ -106,14 +106,18 @@ class Substitution:
         return f"Substitution({{{inner}}})"
 
 
-def unify(t1: Term, t2: Term) -> Substitution | None:
+def unify(t1: Term, t2: Term,
+          bindings: Mapping[Variable, Term] | None = None) -> Substitution | None:
     """Most general unifier of t1 and t2, or None.
 
     No occurs-check: unify(X, f(X)) succeeds with a cyclic binding.
     When both sides are variables the left one is bound, so callers
     passing (goal, clause head) get goal-variable-first bindings.
+    `bindings`, if given, are the triangular bindings to start from and
+    are not changed; a clause's renaming (see rename_clause) is passed
+    this way, so the head is unified as if it were renamed.
     """
-    bindings: dict[Variable, Term] = {}
+    bindings = dict(bindings or ())
     decomposed: set[tuple[int, int]] = set()  # ids of compound pairs
     queue: deque[tuple[Term, Term]] = deque([(t1, t2)])
     while queue:
@@ -148,31 +152,21 @@ def derive(base: str, k: int, style: str) -> str:
 
 
 def rename_clause(c: Clause, avoid: Container[str], first: int,
-                  style: str) -> tuple[Clause, int]:
-    """Copy c with fresh variables; also return the next floor.
+                  style: str) -> tuple[dict[Variable, Variable], int]:
+    """Fresh variables for c, and the next floor.
 
-    Every variable gets a new id. Display names are kept as written
-    unless one of them is in `avoid`; then all of them move together to
-    the first generation k >= first whose names `avoid` does not hold,
-    and the next floor is k + 1. Otherwise it stays `first`. Anonymous
-    variables stay '_'. A clause with no variables is returned as is.
+    Maps every variable of c to a new one, which unify() takes as its
+    starting bindings. Display names are kept as written unless one of
+    them is in `avoid`; then all of them move together to the first
+    generation k >= first whose names `avoid` does not hold, and the
+    next floor is k + 1. Otherwise it stays `first`. Anonymous variables
+    stay '_'. A clause with no variables gets {}.
     """
-    vs = c.variables
-    if not vs:
-        return c, first
-    named = [v for v in vs if not v.is_anonymous]
-    mapping: dict[Variable, Term] = {}
-    if any(v.name in avoid for v in named):
-        while any(derive(v.name, first, style) in avoid for v in named):
-            first += 1
-        for v in named:
-            mapping[v] = Variable(derive(v.name, first, style))
+    named = [v for v in c.variables if not v.is_anonymous]
+    if not any(v.name in avoid for v in named):
+        return {v: Variable(v.name) for v in c.variables}, first
+    while any(derive(v.name, first, style) in avoid for v in named):
         first += 1
-    else:
-        for v in named:
-            mapping[v] = Variable(v.name)
-    for v in vs:
-        if v.is_anonymous:
-            mapping[v] = Variable("_")
-    renaming = Substitution(mapping)
-    return Clause(renaming.apply(c.head), renaming.apply_goals(c.body)), first
+    return {v: Variable(v.name if v.is_anonymous
+                        else derive(v.name, first, style))
+            for v in c.variables}, first + 1

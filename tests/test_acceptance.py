@@ -19,7 +19,7 @@ from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import serialize
 from sldtree.terms import Atom, Compound, Variable
-from sldtree.unify import rename_clause, unify
+from sldtree.unify import Substitution, rename_clause, unify
 
 SUCCESS = NodeStatus.SUCCESS
 FAIL = NodeStatus.FAIL
@@ -223,12 +223,13 @@ def test_criterion_07_unifier_properties():
                                    for _ in range(rng.randint(1, 3))))
         clause = Clause(head)
         avoid = frozenset(rng.sample(("X", "Y", "X'", "Y'"), rng.randint(0, 4)))
-        renamed, _ = rename_clause(clause, avoid, 1, "prime")
-        old, new = clause.variables, renamed.variables
+        fresh, _ = rename_clause(clause, avoid, 1, "prime")
+        old, new = clause.variables, tuple(fresh.values())
         assert not set(old) & set(new)
         assert all(v.name == "_" or v.name not in avoid for v in new)
         assert len(set(new)) == len(set(old))
-        assert unify(clause.head, renamed.head) is not None
+        renamed = Substitution(fresh).apply(clause.head)
+        assert unify(clause.head, renamed) is not None
         renamed_ok += 1
 
     assert unified >= 2000  # enough non-trivial cases to mean something

@@ -11,7 +11,7 @@ from sldtree.fixtures import load_fixture
 from sldtree.kb import Call, goal_variables, seq_text
 from sldtree.reader import parse_program, parse_query
 from sldtree.terms import indicator, term_text, variables_of
-from sldtree.unify import rename_clause
+from sldtree.unify import unify
 from test_golden import DB, cases as golden_cases
 
 OPEN = NodeStatus.OPEN
@@ -346,8 +346,8 @@ def tree_variables(node):
 
 
 def test_no_variable_of_a_parsed_clause_enters_the_tree():
-    # why _clause_child may try a head before renaming the clause; the
-    # last tree leaves variables of facts unbound
+    # each clause's variables start out bound to fresh ones; the last
+    # tree leaves variables of facts unbound
     facts = parse_program("q(Z, Z). r(_, _).")
     trees = golden_trees() + [
         (facts, build_tree(facts, parse_query("q(X, Y), r(Z, X)")))]
@@ -364,28 +364,25 @@ def test_no_variable_of_a_parsed_clause_enters_the_tree():
     assert checked > 500 and clause_vars_seen > 50
 
 
-def test_only_a_matching_clause_with_variables_is_renamed(monkeypatch):
+def test_each_clause_tried_is_unified_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[0])
-        return rename_clause(*args)
+        calls.append(args)
+        return unify(*args)
 
-    monkeypatch.setattr(engine, "rename_clause", counted)
+    monkeypatch.setattr(engine, "unify", counted)
     program = parse_program((DB / "perm.pl").read_text(encoding="utf-8"))
     tree = build_tree(program, parse_query("perm([a,b,c], P)"))
-    expected = 0
+    clause_children = 0
     stack = [tree.root]
     while stack:
         node = stack.pop()
         if node.children and isinstance(node.goals[0], Call):
-            clauses = program.clauses_for(indicator(node.goals[0].term))
-            expected += sum(1 for c, child in zip(clauses, node.children)
-                            if c.variables and child.status is not FAIL)
+            clause_children += len(node.children)
         stack.extend(node.children)
     assert len(solutions(tree)) == 6
-    assert len(calls) == expected > 0
-    assert all(c.variables for c in calls)
+    assert len(calls) == clause_children > 0
 
 
 # -- tree shape invariants ------------------------------------------------------

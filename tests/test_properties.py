@@ -6,7 +6,9 @@ equivalent plain document is the oracle it must match byte for byte.
 The canvas search for a free connector column must agree with a
 column-by-column loop over free(). unify() must agree with a textbook
 unifier that does the occurs check. The reader's pattern tokenizer must
-agree with the character loop it replaced.
+agree with the character loop it replaced. expand() on one clause,
+renamed through the unifier's starting bindings, must agree with renaming
+a copy of the clause first.
 """
 import json
 from dataclasses import dataclass
@@ -18,13 +20,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sldtree.engine import EngineOptions, NodeStatus, SearchNode, expand
 from sldtree.errors import CyclicTermError
+from sldtree.kb import (Call, Clause, Cut, Disjunction, Negation, Program,
+                        seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
-from sldtree.terms import Atom, Compound, Variable
-from sldtree.unify import unify
+from sldtree.terms import Atom, Compound, Variable, term_text, variables_of
+from sldtree.unify import (RENAME_STYLES, Substitution, rename_clause,
+                           unify)
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -333,3 +339,89 @@ def test_tokenize_agrees_with_the_character_loop(text):
     got = [(kind, value, _position(text, offset))
            for kind, value, offset in _tokenize(text)]
     assert got == [(t.kind, t.value, t.pos) for t in want]
+
+
+# -- one clause, renamed through the unifier's starting bindings -------------
+
+# apart from the clause's, and with names its renaming can collide with
+CLAUSE_POOL = (Variable("X"), Variable("Y"), Variable("_"), Variable("_"))
+CALL_POOL = (Variable("X"), Variable("Y'"), Variable("Y1"), Variable("Z"),
+             Variable("_"))
+
+
+def _terms(pool):
+    return st.recursive(
+        st.sampled_from(pool + (Atom("a"),)),
+        lambda kids: st.one_of(
+            st.builds(lambda x: Compound("f", (x,)), kids),
+            st.builds(lambda x, y: Compound("g", (x, y)), kids, kids)),
+        max_leaves=5)
+
+
+def _pairs(pool):
+    return st.builds(lambda x, y: Compound("p", (x, y)),
+                     _terms(pool), _terms(pool))
+
+
+_calls = _terms(CLAUSE_POOL).map(lambda t: Call(Compound("q", (t,))))
+_body_goals = st.one_of(
+    _calls, st.just(Cut()),
+    st.lists(_calls, min_size=1, max_size=2).map(
+        lambda gs: Negation(tuple(gs))),
+    st.builds(lambda l, r: Disjunction((l,), (r,)), _calls, _calls))
+clauses = st.builds(Clause, _pairs(CLAUSE_POOL),
+                    st.lists(_body_goals, max_size=3).map(tuple))
+
+
+def copying_child(clause, call, qvars, floor, style):
+    """Expanding `call` with a copy of `clause` renamed in full first:
+    None on a clash, the cyclic-term message, or the child's goal text,
+    label lines, answer text and floor."""
+    avoid = frozenset() if clause.is_fact else frozenset(
+        v.name for v in variables_of(call) if not v.is_anonymous)
+    fresh, floor = rename_clause(clause, avoid, floor, style)
+    copy = Substitution(fresh)
+    sigma = unify(call, copy.apply(clause.head))
+    if sigma is None:
+        return None
+    try:
+        goals = seq_text(sigma.apply_goals(copy.apply_goals(clause.body)))
+        try:
+            answer = ", ".join(term_text(sigma.apply(v)) for v in qvars)
+        except CyclicTermError as e:
+            answer = str(e)
+        label = [f"{v.name}={term_text(sigma.apply(v))}"
+                 for v in variables_of(call)
+                 if not v.is_anonymous and sigma.binds(v)]
+    except CyclicTermError as e:
+        return str(e)
+    return goals, label, answer, floor
+
+
+CX, CY = CLAUSE_POOL[:2]
+
+
+@settings(max_examples=500, deadline=None)
+@given(clauses, _pairs(CALL_POOL), st.integers(1, 3),
+       st.sampled_from(RENAME_STYLES))
+@example(Clause(Compound("p", (CX, CX)), (Call(Compound("q", (CX,))),)),
+         Compound("p", (CALL_POOL[0], Compound("f", (CALL_POOL[0],)))), 1,
+         "prime")
+@example(Clause(Compound("p", (CX, CY))),
+         Compound("p", (CALL_POOL[0], CALL_POOL[0])), 2, "numeric")
+def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
+    qvars = tuple(v for v in variables_of(call) if not v.is_anonymous)
+    node = SearchNode((Call(call),), answer=qvars, floor=floor)
+    want = copying_child(clause, call, qvars, floor, style)
+    try:
+        (child,) = expand(node, Program([clause]), EngineOptions(rename=style))
+    except CyclicTermError as e:
+        assert str(e) == want
+        return
+    if child.status is NodeStatus.FAIL:
+        assert want is None
+        return
+    answer = (str(child.answer) if isinstance(child.answer, CyclicTermError)
+              else ", ".join(term_text(t) for t in child.answer))
+    assert (seq_text(child.goals), child.label.lines(), answer,
+            child.floor) == want

@@ -65,10 +65,23 @@ def test_double_negation():
     assert q == (Negation((Negation((Call(Atom("a")),)),)),)
 
 
-def test_parenthesised_conjunction_flattens_in_a_body():
-    prog = parse_program("p :- (a, b), c.")
-    assert prog.clauses[0].body == (Call(Atom("a")), Call(Atom("b")),
-                                    Call(Atom("c")))
+A, B, C = (Call(Atom(n)) for n in "abc")
+
+
+BODIES = [
+    ("(a, b), c", (A, B, C)),
+    ("\\+ ((a, b))", (Negation((A, B)),)),
+    ("not((a, b))", (Negation((A, B)),)),
+    ("((a, b) ; c)", (Disjunction((A, B), (C,)),)),
+    ("((a))", (A,)),
+    ("\\+ (a)", (Negation((A,)),)),
+]
+
+
+@pytest.mark.parametrize("body,goals", BODIES, ids=[b for b, _ in BODIES])
+def test_parenthesised_conjunction_flattens_in_a_body(body, goals):
+    prog = parse_program(f"p :- {body}.")
+    assert prog.clauses[0].body == goals
 
 
 def test_not_call_reads_as_negation():

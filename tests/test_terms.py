@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from sldtree.kb import Call, Compare, Disjunction, Negation, goal_variables
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
                            fresh_uid, indicator, is_callable, list_parts,
                            list_term, term_text, variables_of)
@@ -90,3 +91,13 @@ def test_variables_of_walks_terms_deeper_than_the_recursion_limit():
         t = Compound("f", (t, y))
     assert variables_of(Compound("g", (y, t))) == [y, x]
     assert variables_of(t) == [x, y]
+
+
+def test_goal_variables_walks_goals_nested_deeper_than_the_recursion_limit():
+    x, y = var("X"), var("Y")
+    goals = (Call(Compound("p", (x,))),)
+    for i in range(5000):  # alternating '\+' and ';', built without the reader
+        goals = ((Negation(goals),) if i % 2
+                 else (Disjunction(goals, (Call(Atom("q")),)),))
+    assert goal_variables(goals) == [x]
+    assert goal_variables((Compare("<", y, x),) + goals) == [y, x]

@@ -180,75 +180,87 @@ def first_clause(src):
 
 def test_renaming_a_fact_keeps_display_names():
     c = first_clause("member(X, [X|_]).")
-    renamed, floor = rename_clause(c, frozenset(), 1, "prime")
+    fresh, floor = rename_clause(c, frozenset(), 1, "prime")
     assert floor == 1  # no collision, generation not consumed
     old = c.variables
-    new = renamed.variables
+    assert list(fresh) == list(old)
+    new = list(fresh.values())
     assert [w.name for w in new] == [w.name for w in old]
     assert all(a != b for a, b in zip(old, new))  # ids always change
 
 
 def test_renaming_moves_all_named_variables_on_any_collision():
     c = first_clause("member(X, [_|L]) :- member(X, L).")
-    renamed, floor = rename_clause(c, {"X"}, 1, "prime")
+    fresh, floor = rename_clause(c, {"X"}, 1, "prime")
     assert floor == 2
-    names = {w.name for w in renamed.variables}
+    names = {w.name for w in fresh.values()}
     assert names == {"X'", "L'", "_"}
 
 
 def test_renaming_skips_colliding_generations():
     c = first_clause("p(X) :- q(X).")
-    renamed, floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime")
-    assert renamed.variables[0].name == "X'''"
+    fresh, floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime")
+    assert fresh[c.variables[0]].name == "X'''"
     assert floor == 4
 
 
 def test_renaming_starts_at_the_floor():
     c = first_clause("p(X) :- q(X).")
-    renamed, floor = rename_clause(c, {"X"}, 3, "prime")
-    assert renamed.variables[0].name == "X'''"
+    fresh, floor = rename_clause(c, {"X"}, 3, "prime")
+    assert fresh[c.variables[0]].name == "X'''"
     assert floor == 4
 
 
 def test_numeric_rename_style():
     c = first_clause("descend(X,Y) :- child(X,Z), descend(Z,Y).")
-    renamed, floor = rename_clause(c, {"Z"}, 1, "numeric")
-    names = [w.name for w in renamed.variables]
+    fresh, floor = rename_clause(c, {"Z"}, 1, "numeric")
+    names = [fresh[w].name for w in c.variables]
     assert names == ["X1", "Y1", "Z1"]
     assert floor == 2
 
 
 def test_renaming_is_a_bijection_on_occurrences():
     c = first_clause("append([H|T], L2, [H|L3]) :- append(T, L2, L3).")
-    renamed, _ = rename_clause(c, {"H"}, 1, "prime")
-    head_h = renamed.head.args[0].args[0]
-    out_h = renamed.head.args[2].args[0]
+    fresh, _ = rename_clause(c, {"H"}, 1, "prime")
+    head = Substitution(fresh).apply(c.head)
+    head_h = head.args[0].args[0]
+    out_h = head.args[2].args[0]
     assert head_h == out_h  # shared occurrences stay shared
     assert head_h.name == "H'"
-    old = c.variables
-    new = renamed.variables
-    assert len(set(new)) == len(set(old))
+    assert len(set(fresh.values())) == len(set(c.variables))
 
 
 def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
     c = first_clause("p(_, _, X).")
-    renamed, _ = rename_clause(c, {"X"}, 1, "prime")
-    a, b, x = renamed.head.args
+    fresh, _ = rename_clause(c, {"X"}, 1, "prime")
+    a, b, x = (fresh[w] for w in c.head.args)
     assert a.name == "_" and b.name == "_" and a != b
     assert x.name == "X'"
 
 
 def test_renamed_clause_shares_no_variables_with_original():
     c = first_clause("p(X, Y) :- q(X), r(Y).")
-    renamed, _ = rename_clause(c, frozenset(), 1, "prime")
-    assert not set(c.variables) & set(renamed.variables)
+    fresh, _ = rename_clause(c, frozenset(), 1, "prime")
+    assert not set(c.variables) & set(fresh.values())
 
 
-def test_a_clause_without_variables_is_returned_as_is():
+def test_a_clause_without_variables_gets_no_fresh_variables():
     c = first_clause("p(a, [b]) :- q(c), \\+ r.")
-    renamed, floor = rename_clause(c, {"X"}, 3, "prime")
-    assert renamed is c
+    fresh, floor = rename_clause(c, {"X"}, 3, "prime")
+    assert fresh == {}
     assert floor == 3
+
+
+def test_unify_starts_from_the_given_bindings():
+    c = first_clause("p(X, Y) :- q(Y).")
+    fresh, _ = rename_clause(c, frozenset(), 1, "prime")
+    a = v("A")
+    sigma = unify(Compound("p", (a, Atom("b"))), c.head, fresh)
+    x, y = (fresh[w] for w in c.variables)
+    assert sigma.apply(a) is x  # the call variable binds to the fresh one
+    assert sigma.apply(c.head) == Compound("p", (x, Atom("b")))
+    assert sigma.apply(y) == Atom("b")
+    assert len(fresh) == 2  # the starting bindings are not changed
 
 
 def test_derive_names_a_generation_in_each_style():
