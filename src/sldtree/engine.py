@@ -5,14 +5,15 @@ one child per clause in source order. Failed unifications, branches cut
 away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
-Cut works through barriers: expanding a call allocates a barrier id and
-stamps it on the cuts of the spliced-in clause body. Reaching such a
-cut prunes every unexplored sibling branch between the cut and the node
-that introduced its barrier, inclusive.
+A cut names the depth, on the DFS path, of the node whose choice point
+it commits: a call at depth d stamps d on the cuts of its clause bodies,
+the query's cuts get 0, and a negation at depth d gives its probe's cuts
+d + 1. Reaching a cut prunes the unexplored siblings at that node and at
+every node below it on the path, so a cut that is the first goal of its
+own target prunes nothing.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -54,10 +55,6 @@ class SearchNode:
     # image of the tree's query variables on the path to this node, or the
     # cyclic-term error met building it, raised only if a success leaf needs it
     answer: tuple[Term, ...] | CyclicTermError = ()
-    # barriers attached before expansion (negation probes)
-    pre_barriers: frozenset[int] = frozenset()
-    # barriers this node's expansion introduced; cut targets
-    frame_barriers: frozenset[int] = frozenset()
     # lowest generation a clause renamed to expand this node may take
     floor: int = 1
 
@@ -110,15 +107,15 @@ class Answer:
         return ", ".join(f"{v.name} = {term_text(t)}" for v, t in self.bindings)
 
 
-def _tag_cuts(goals: GoalSeq, barrier: int) -> GoalSeq:
-    """Scope unowned cuts to barrier. Negations keep theirs until expanded."""
+def _tag_cuts(goals: GoalSeq, depth: int) -> GoalSeq:
+    """Scope unowned cuts to depth. Negations keep theirs until expanded."""
     out = []
     for g in goals:
-        if isinstance(g, Cut) and g.barrier is None:
-            out.append(Cut(barrier))
+        if isinstance(g, Cut) and g.depth is None:
+            out.append(Cut(depth))
         elif isinstance(g, Disjunction):
-            out.append(Disjunction(_tag_cuts(g.left, barrier),
-                                   _tag_cuts(g.right, barrier)))
+            out.append(Disjunction(_tag_cuts(g.left, depth),
+                                   _tag_cuts(g.right, depth)))
         else:
             out.append(g)
     return tuple(out)
@@ -151,26 +148,23 @@ def _compare_holds(g: Compare) -> bool:
     return table[g.op](g.lhs.value, g.rhs.value)
 
 
-def apply_cut(path: list[tuple[SearchNode, int]], barrier: int) -> None:
-    """Prune unexplored branches up to the node owning `barrier`.
+def apply_cut(path: list[tuple[SearchNode, int]], depth: int) -> None:
+    """Prune unexplored branches from the node at `depth` down.
 
     `path` holds (node, index-of-active-child) pairs from the root down
-    to the parent of the cut. Walking upward, every sibling after the
-    active child that is still open becomes Pruned; the walk stops at
-    the barrier's node. Already-failed siblings keep their x.
+    to the parent of the cut, so `path[depth]` is the cut's target. At
+    each entry from there on, every sibling after the active child that
+    is still open becomes Pruned. Already-failed siblings keep their x.
     """
-    for node, index in reversed(path):
+    for node, index in path[depth:]:
         for child in node.children[index + 1:]:
             if child.status is NodeStatus.OPEN:
                 child.status = NodeStatus.PRUNED
-        if barrier in node.frame_barriers:
-            break
 
 
 @dataclass
 class _Frame:
     node: SearchNode
-    depth: int
     names: frozenset[str]  # the node's own, as counted in _Builder.path
     index: int = -1
 
@@ -182,13 +176,12 @@ class _Builder:
         self.options = options
         # per variable name, how many nodes on the DFS path show it
         self.path: Counter[str] = Counter()
-        self._barrier = itertools.count(1)
         self.node_count = 1  # the root
         self.truncated = False
 
     def run(self, root: SearchNode) -> None:
         frames: list[_Frame] = []
-        self._visit(root, 0, frames)
+        self._visit(root, frames)
         while frames:
             f = frames[-1]
             f.index += 1
@@ -201,13 +194,13 @@ class _Builder:
                 continue
             child = f.node.children[f.index]
             if child.status is NodeStatus.OPEN:
-                self._visit(child, f.depth + 1, frames)
+                self._visit(child, frames)
 
-    def _visit(self, node: SearchNode, depth: int, frames: list[_Frame]) -> None:
+    def _visit(self, node: SearchNode, frames: list[_Frame]) -> None:
         if not node.goals:
             node.status = NodeStatus.SUCCESS
             return
-        if depth > self.limits.max_depth or self.node_count >= self.limits.max_nodes:
+        if len(frames) > self.limits.max_depth or self.node_count >= self.limits.max_nodes:
             node.status = NodeStatus.TRUNCATED
             self.truncated = True
             return
@@ -215,19 +208,19 @@ class _Builder:
         self.path.update(names)
         node.children = self.expand(node, frames)
         self.node_count += len(node.children)
-        frames.append(_Frame(node, depth, names))
+        frames.append(_Frame(node, names))
 
     # -- expansion ------------------------------------------------------
 
     def expand(self, node: SearchNode,
-               frames: list[_Frame] | None = None) -> list[SearchNode]:
+               frames: list[_Frame]) -> list[SearchNode]:
+        """Children of `node`; `frames` is the path from the root to its
+        parent, so the node's depth is len(frames)."""
         g, rest = node.goals[0], node.goals[1:]
-        barriers = set(node.pre_barriers)
+        depth = len(frames)
         children: list[SearchNode]
 
         if isinstance(g, Call):
-            b = next(self._barrier)
-            barriers.add(b)
             key = indicator(g.term)
             if not self.program.defines(key):
                 if self.options.unknown == "error":
@@ -236,15 +229,14 @@ class _Builder:
                         f"{term_text(g.term)}")
                 children = [_fail_leaf()]
             else:
-                children = [self._clause_child(node, g, rest, c, b)
+                children = [self._clause_child(node, g, rest, c, depth)
                             for c in self.program.clauses_for(key)]
         elif isinstance(g, TrueGoal):
             children = [self._plain_child(node, rest)]
         elif isinstance(g, FailGoal):
             children = [_fail_leaf()]
         elif isinstance(g, Cut):
-            barrier = 0 if g.barrier is None else g.barrier
-            apply_cut([(f.node, f.index) for f in (frames or [])], barrier)
+            apply_cut([(f.node, f.index) for f in frames], g.depth or 0)
             children = [self._plain_child(node, rest)]
         elif isinstance(g, Compare):
             children = ([self._plain_child(node, rest)]
@@ -253,31 +245,26 @@ class _Builder:
             children = [self._plain_child(node, g.left + rest),
                         self._plain_child(node, g.right + rest)]
         elif isinstance(g, Negation):
-            b_neg = next(self._barrier)
-            barriers.add(b_neg)
-            b_inner = next(self._barrier)
-            inner = _tag_cuts(g.inner, b_inner)
-            probe = self._plain_child(node, inner + (Cut(b_neg), FailGoal()))
-            probe.pre_barriers = frozenset((b_inner,))
-            children = [probe, self._plain_child(node, rest)]
+            inner = _tag_cuts(g.inner, depth + 1)
+            probe = inner + (Cut(depth), FailGoal())
+            children = [self._plain_child(node, probe),
+                        self._plain_child(node, rest)]
         else:
             raise TypeError(f"cannot expand goal {g!r}")
-
-        node.frame_barriers = frozenset(barriers)
         return children
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
         return SearchNode(goals, answer=node.answer, floor=node.floor)
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
-                      clause, barrier: int) -> SearchNode:
+                      clause, depth: int) -> SearchNode:
         fresh, floor = rename_clause(
             clause, frozenset() if clause.is_fact else self.path, node.floor,
             self.options.rename)
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
             return _fail_leaf()
-        goals = sigma.apply_goals(_tag_cuts(clause.body, barrier) + rest)
+        goals = sigma.apply_goals(_tag_cuts(clause.body, depth) + rest)
         answer = node.answer
         if isinstance(answer, tuple):
             try:
@@ -297,8 +284,7 @@ def build_tree(program: Program, query: GoalSeq,
     limits = limits or Limits()
     options = options or EngineOptions()
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
-    root = SearchNode(_tag_cuts(query, 0), answer=qvars,
-                      pre_barriers=frozenset((0,)))
+    root = SearchNode(_tag_cuts(query, 0), answer=qvars)
     builder = _Builder(program, limits, options)
     builder.run(root)
     return SearchTree(root, builder.truncated, qvars)
@@ -309,7 +295,7 @@ def expand(node: SearchNode, program: Program,
     """One expansion step on its own, mainly for poking at the rules."""
     builder = _Builder(program, Limits(), options or EngineOptions())
     builder.path.update(_names_of(node.goals, node.label))
-    node.children = builder.expand(node)
+    node.children = builder.expand(node, [])
     return node.children
 
 

@@ -38,9 +38,9 @@ class Negation:
 
 @dataclass(frozen=True)
 class Cut:
-    # barrier is stamped by the engine when a rule body is spliced in;
-    # parsed cuts start out unscoped.
-    barrier: int | None = None
+    # depth on the search path of the node whose choice point the cut
+    # commits, stamped by the engine; parsed cuts start out unscoped.
+    depth: int | None = None
 
 
 @dataclass(frozen=True)

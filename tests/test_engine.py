@@ -8,7 +8,7 @@ from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
 from sldtree.errors import (CyclicTermError, InstantiationError,
                             UnknownPredicateError)
 from sldtree.fixtures import load_fixture
-from sldtree.kb import Call, goal_variables, seq_text
+from sldtree.kb import Call, Negation, goal_variables, seq_text
 from sldtree.reader import parse_program, parse_query
 from sldtree.terms import indicator, term_text, variables_of
 from sldtree.unify import unify
@@ -194,6 +194,29 @@ def test_cut_inside_negation_is_local_to_it():
     tree = build(src, "t")
     # the inner cut stops p's second clause, not t's second clause
     assert answers(tree) == ["true", "true"]
+
+
+NEGCUT = "m(1). m(2). t(X) :- m(X), \\+ (!, fail)."
+
+
+@pytest.mark.parametrize("query,want", [
+    ("t(X)", ["X = 1", "X = 2"]),
+    ("m(X), not((!, fail))", ["X = 1", "X = 2"]),
+    ("\\+ \\+ !", ["true"]),
+    ("m(X), \\+ !", []),
+])
+def test_a_leading_cut_inside_negation_stays_in_the_probe(query, want):
+    tree = build(NEGCUT, query)
+    assert answers(tree) == want
+    # the only branch a probe may prune outside itself is the continuation
+    # of its own negation; m's second clause, X=2, is always expanded
+    seen = [tree.root]
+    while seen:
+        node = seen.pop()
+        for i, child in enumerate(node.children):
+            if child.status is PRUNED:
+                assert isinstance(node.goals[0], Negation) and i == 1
+        seen.extend(node.children)
 
 
 def test_negation_of_unprovable_goal_succeeds():
@@ -494,16 +517,15 @@ def test_expand_wrapper_renames_away_from_the_node_names():
     assert seq_text(child.goals) == "q(X',Y')"
 
 
-def test_apply_cut_stops_at_the_barrier_owner():
+def test_apply_cut_stops_at_the_target_depth():
     grandparent = SearchNode(parse_query("g"))
     parent = SearchNode(parse_query("p"))
     grandparent.children = [parent, SearchNode(parse_query("s1"))]
     parent.children = [SearchNode(parse_query("c0")),
                        SearchNode(parse_query("c1"))]
-    parent.frame_barriers = frozenset({7})
-    apply_cut([(grandparent, 0), (parent, 0)], barrier=7)
+    apply_cut([(grandparent, 0), (parent, 0)], depth=1)
     assert parent.children[1].status is PRUNED
-    # the walk stopped at the owner; the grandparent's sibling is intact
+    # the cut's target is the parent; the grandparent's sibling is intact
     assert grandparent.children[1].status is OPEN
 
 
@@ -513,7 +535,6 @@ def test_apply_cut_skips_settled_siblings():
     done.status = FAIL
     parent.children = [SearchNode(parse_query("c0")), done,
                        SearchNode(parse_query("c2"))]
-    parent.frame_barriers = frozenset({3})
-    apply_cut([(parent, 0)], barrier=3)
+    apply_cut([(parent, 0)], depth=0)
     assert parent.children[1].status is FAIL
     assert parent.children[2].status is PRUNED

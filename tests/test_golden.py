@@ -4,8 +4,8 @@ Each case runs `sldtree.cli.main` in-process and compares its standard
 output with tests/golden/<case>.out and its exit code with
 tests/golden/exit_codes.json. The cases are the bundled fixtures with
 their canonical queries (canonical JSON, ascii at widths 120 and 60)
-and a few larger trees (canonical and ascii at width 120, or ascii at
-width 120 alone).
+a few larger trees and a cut inside a negation (canonical and ascii at
+width 120, or ascii at width 120 alone).
 
 Regenerate the files, after a deliberate change of output, with
 
@@ -39,6 +39,7 @@ SCALED = (
     ("nrev-8", str(DB / "nrev.pl"), f"nrev({_plist(range(1, 9))},R)", []),
     ("perm-4", str(DB / "perm.pl"), "perm([a,b,c,d],P)", []),
     ("loop-50", str(DB / "loop.pl"), "p", ["--max-depth", "50"]),
+    ("neg-cut", str(DB / "negcut.pl"), "t(X)", []),
 )
 
 # (case, database, query), drawn only

@@ -8,7 +8,9 @@ column-by-column loop over free(). unify() must agree with a textbook
 unifier that does the occurs check. The reader's pattern tokenizer must
 agree with the character loop it replaced. expand() on one clause,
 renamed through the unifier's starting bindings, must agree with renaming
-a copy of the clause first.
+a copy of the clause first. On propositional programs with cut, `;` and
+`\\+`, the solutions of the built tree must be as many as a generator
+solver over goal lists finds.
 """
 import json
 from dataclasses import dataclass
@@ -20,15 +22,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sldtree.engine import EngineOptions, NodeStatus, SearchNode, expand
+from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
+                            build_tree, expand, solutions)
 from sldtree.errors import CyclicTermError
-from sldtree.kb import (Call, Clause, Cut, Disjunction, Negation, Program,
-                        seq_text)
+from sldtree.kb import (Call, Clause, Cut, Disjunction, FailGoal, Negation,
+                        Program, TrueGoal, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
-from sldtree.terms import Atom, Compound, Variable, term_text, variables_of
+from sldtree.terms import (Atom, Compound, Variable, indicator, term_text,
+                           variables_of)
 from sldtree.unify import (RENAME_STYLES, Substitution, rename_clause,
                            unify)
 
@@ -425,3 +429,85 @@ def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
               else ", ".join(term_text(t) for t in child.answer))
     assert (seq_text(child.goals), child.label.lines(), answer,
             child.floor) == want
+
+
+# -- cut, ';' and '\+' against a generator solver ---------------------------
+
+PROPS = tuple(Atom(f"p{i}") for i in range(4))
+_prop_leaves = st.one_of(st.sampled_from(PROPS).map(Call),
+                         st.sampled_from((TrueGoal(), FailGoal(), Cut())))
+
+
+def _prop_compound(goal):
+    seqs = st.lists(goal, min_size=1, max_size=3).map(tuple)
+    return st.one_of(st.builds(Disjunction, seqs, seqs), seqs.map(Negation))
+
+
+_prop_goals = st.recursive(_prop_leaves, _prop_compound, max_leaves=6)
+prop_programs = st.lists(
+    st.builds(Clause, st.sampled_from(PROPS),
+              st.lists(_prop_goals, max_size=3).map(tuple)),
+    max_size=6).map(Program)
+prop_queries = st.lists(_prop_goals, min_size=1, max_size=3).map(tuple)
+
+
+def reference_count(program: Program, query, max_steps: int) -> int:
+    """Solutions of `query` by a generator over goal lists.
+
+    Each goal travels with the frame its cuts commit: the clause that
+    called it, a negation's own probe, or the query. A solver returns
+    the frame of a cut it ran, or None; every choice point on the way
+    stops trying alternatives until the frame's owner swallows it.
+    """
+    def solve(goals, steps):
+        if not goals:
+            yield
+            return None
+        if steps > max_steps:
+            raise AssertionError("the solver went deeper than the engine")
+        (g, frame), rest = goals[0], goals[1:]
+        if isinstance(g, Call):
+            me = object()
+            for clause in program.clauses_for(indicator(g.term)):
+                body = tuple((b, me) for b in clause.body)
+                cut = yield from solve(body + rest, steps + 1)
+                if cut is not None:
+                    return None if cut is me else cut
+            return None
+        if isinstance(g, Disjunction):
+            for branch in (g.left, g.right):
+                cut = yield from solve(
+                    tuple((b, frame) for b in branch) + rest, steps + 1)
+                if cut is not None:
+                    return cut
+            return None
+        if isinstance(g, Negation):
+            probe = object()
+            for _ in solve(tuple((b, probe) for b in g.inner), steps + 1):
+                return None  # the probe succeeded, so the negation fails
+        elif isinstance(g, FailGoal):
+            return None
+        cut = yield from solve(rest, steps + 1)
+        return frame if isinstance(g, Cut) and cut is None else cut
+
+    root = object()
+    return sum(1 for _ in solve(tuple((g, root) for g in query), 0))
+
+
+MAX_DEPTH = 12
+
+
+@settings(max_examples=300, deadline=None)
+@given(prop_programs, prop_queries)
+@example(Program([Clause(Atom("p0")), Clause(Atom("p0")),
+                  Clause(Atom("p1"), (Call(Atom("p0")),
+                                      Negation((Cut(), FailGoal()))))]),
+         (Call(Atom("p1")),))
+def test_cut_disjunction_and_negation_agree_with_a_generator_solver(
+        program, query):
+    tree = build_tree(program, query, Limits(max_depth=MAX_DEPTH,
+                                             max_nodes=2000))
+    if tree.truncated:
+        return
+    assert len(solutions(tree)) == reference_count(program, query,
+                                                   4 * MAX_DEPTH)

@@ -94,7 +94,7 @@ def test_control_atoms():
     assert parse_query("fail") == (FailGoal(),)
     assert parse_query("false") == (FailGoal(),)
     assert parse_query("!") == (Cut(),)
-    assert parse_query("!")[0].barrier is None
+    assert parse_query("!")[0].depth is None
 
 
 def test_comparison_goals():
