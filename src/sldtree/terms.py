@@ -1,37 +1,23 @@
 """First-order term algebra.
 
-Terms are immutable. A Variable's identity is its unique id, never its
-display name: two variables with the same name in different clauses are
-different variables, and renaming a clause changes ids even when the
-printed name stays the same.
+Terms are immutable. A Variable's identity is the object, never its
+display name: each Variable(name) is a new variable, so two variables
+with the same name in different clauses are different, and renaming a
+clause makes new variables even when the printed name stays the same.
 """
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
-
-_uid_source = itertools.count(1)
-
-
-def fresh_uid() -> int:
-    return next(_uid_source)
 
 
 @dataclass(frozen=True, eq=False)
 class Variable:
     name: str
-    uid: int = field(default_factory=fresh_uid)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.uid == other.uid
-
-    def __hash__(self) -> int:
-        return hash(("var", self.uid))
 
     def __repr__(self) -> str:
-        return f"Variable({self.name!r}, uid={self.uid})"
+        return f"Variable({self.name!r})"
 
     @property
     def is_anonymous(self) -> bool:

@@ -4,19 +4,15 @@ import pytest
 
 from sldtree.kb import Call, Compare, Disjunction, Negation, goal_variables
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
-                           fresh_uid, indicator, is_callable, list_parts,
-                           list_term, term_text, variables_of)
+                           indicator, is_callable, list_parts, list_term,
+                           term_text, variables_of)
 
 
-def var(name):
-    return Variable(name, fresh_uid())
-
-
-def test_variable_identity_is_uid_not_name():
-    a = var("X")
-    b = var("X")
+def test_variable_identity_is_the_object_not_the_name():
+    a = Variable("X")
+    b = Variable("X")
+    assert a == a
     assert a != b
-    assert a == Variable("irrelevant", a.uid)
     assert len({a, b}) == 2
 
 
@@ -26,7 +22,7 @@ def test_compound_requires_args():
 
 
 def test_variables_of_first_occurrence_order():
-    x, y = var("X"), var("Y")
+    x, y = Variable("X"), Variable("Y")
     t = Compound("f", (x, Compound("g", (y, x)), y))
     assert variables_of(t) == [x, y]
     assert variables_of(Atom("a")) == []
@@ -45,7 +41,7 @@ def test_list_term_empty_is_nil():
 
 
 def test_list_term_single_cons():
-    h, t = var("H"), var("T")
+    h, t = Variable("H"), Variable("T")
     cell = list_term((h,), t)
     assert cell == Compound(".", (h, t))
 
@@ -53,7 +49,7 @@ def test_list_term_single_cons():
 def test_term_text_list_sugar():
     t = list_term((Atom("a"), Atom("b"), Atom("c")), Atom("[]"))
     assert term_text(t) == "[a,b,c]"
-    partial = list_term((Atom("a"), Atom("b")), var("T"))
+    partial = list_term((Atom("a"), Atom("b")), Variable("T"))
     assert term_text(partial) == "[a,b|T]"
 
 
@@ -79,13 +75,13 @@ def test_is_callable_and_indicator():
     assert is_callable(Atom("p"))
     assert is_callable(Compound("f", (Atom("a"),)))
     assert not is_callable(Integer(1))
-    assert not is_callable(var("X"))
+    assert not is_callable(Variable("X"))
     assert indicator(Compound("f", (Atom("a"), Atom("b")))) == ("f", 2)
     assert indicator(Atom("p")) == ("p", 0)
 
 
 def test_variables_of_walks_terms_deeper_than_the_recursion_limit():
-    x, y = var("X"), var("Y")
+    x, y = Variable("X"), Variable("Y")
     t = x
     for _ in range(sys.getrecursionlimit() + 100):
         t = Compound("f", (t, y))
@@ -94,7 +90,7 @@ def test_variables_of_walks_terms_deeper_than_the_recursion_limit():
 
 
 def test_goal_variables_walks_goals_nested_deeper_than_the_recursion_limit():
-    x, y = var("X"), var("Y")
+    x, y = Variable("X"), Variable("Y")
     goals = (Call(Compound("p", (x,))),)
     for i in range(5000):  # alternating '\+' and ';', built without the reader
         goals = ((Negation(goals),) if i % 2
