@@ -258,9 +258,8 @@ class _Builder:
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, depth: int) -> SearchNode:
-        fresh, floor = rename_clause(
-            clause, frozenset() if clause.is_fact else self.path, node.floor,
-            self.options.rename)
+        fresh, floor = rename_clause(clause, self.path, node.floor,
+                                     self.options.rename)
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
             return _fail_leaf()

@@ -349,12 +349,24 @@ def test_a_renamed_variable_never_shows_a_name_of_its_path():
             clauses = (program.clauses_for(indicator(g.term))
                        if isinstance(g, Call) else [])
             for i, child in enumerate(node.children):
-                if i < len(clauses) and not clauses[i].is_fact:
+                if i < len(clauses):
                     for v in shown_variables(child) - own:
                         assert v.name not in path, (seq_text(node.goals), v)
                         renamed += v.name.endswith("'")
                 stack.append((child, path))
     assert renamed > 100  # primed names: the rule was exercised
+
+
+def test_a_fact_is_renamed_apart_from_the_path():
+    # the fact's Z reaches the resolvent through X, beside the query's Z
+    tree = build("q(Z, Z). r(_, _).", "q(X, Y), r(Z, X)")
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        names = [v.name for v in shown_variables(node)]
+        assert len(names) == len(set(names)), (seq_text(node.goals), names)
+        stack.extend(node.children)
+    assert seq_text(tree.root.children[0].goals) == "r(Z,Z')"
 
 
 def tree_variables(node):

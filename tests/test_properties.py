@@ -381,8 +381,7 @@ def copying_child(clause, call, qvars, floor, style):
     """Expanding `call` with a copy of `clause` renamed in full first:
     None on a clash, the cyclic-term message, or the child's goal text,
     label lines, answer text and floor."""
-    avoid = frozenset() if clause.is_fact else frozenset(
-        v.name for v in variables_of(call) if not v.is_anonymous)
+    avoid = frozenset(v.name for v in variables_of(call) if not v.is_anonymous)
     fresh, floor = rename_clause(clause, avoid, floor, style)
     copy = Substitution(fresh)
     sigma = unify(call, copy.apply(clause.head))
