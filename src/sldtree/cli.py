@@ -25,6 +25,8 @@ EXIT_NO_ANSWERS = 1
 EXIT_ERROR = 2
 EXIT_TRUNCATED = 3
 
+FORMATS = ("ascii", "canonical", "answers-only")
+
 
 @dataclass
 class RunConfig:
@@ -72,7 +74,10 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         return EXIT_ERROR
 
     try:
+        if cfg.format not in FORMATS:
+            raise ValueError(f"output format: {cfg.format}")
         render_options = RenderOptions(max_width=cfg.width)
+        options = EngineOptions(unknown=cfg.unknown, rename=cfg.rename)
     except ValueError as e:
         print(f"error: {e}", file=err)
         return EXIT_ERROR
@@ -89,7 +94,6 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
     try:
         program = parse_program(db_text)
         query = parse_query(cfg.query)
-        options = EngineOptions(unknown=cfg.unknown, rename=cfg.rename)
         tree = build_tree(program, query, cfg.limits, options)
         answers = solutions(tree)
         if cfg.format == "ascii":
@@ -127,8 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="knowledge base file, or a bundled fixture name")
     p.add_argument("--query", metavar="GOAL",
                    help="query to run, e.g. 'jealous(X,Y)'")
-    p.add_argument("--format", choices=("ascii", "canonical", "answers-only"),
-                   default="ascii")
+    p.add_argument("--format", choices=FORMATS, default="ascii")
     p.add_argument("--max-depth", type=int, default=Limits().max_depth)
     p.add_argument("--max-nodes", type=int, default=Limits().max_nodes)
     p.add_argument("--unknown", choices=("fail", "error"), default="fail",

@@ -246,6 +246,14 @@ def test_main_rejects_unknown_format():
         main(["--db", "romance", "--query", "p", "--format", "yaml"])
 
 
+@pytest.mark.parametrize("option", ["format", "unknown", "rename"])
+def test_run_rejects_a_bad_option_value(option):
+    code, out, err = invoke(RunConfig(db="romance", query="jealous(X, Y)",
+                                      **{option: "bogus"}))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_main_list_fixtures(capsys):
     assert main(["--list-fixtures"]) == EXIT_OK
     assert "member:" in capsys.readouterr().out
