@@ -5,6 +5,11 @@ one child per clause in source order. Failed unifications, branches cut
 away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
+Answers are resolved at the success leaves. A clause child keeps only
+the bindings its step gave to the variables of the parent's selected
+call, and solutions() composes them down each path, so no node carries
+the answer so far and the build is linear in the tree.
+
 A cut names the depth, on the DFS path, of the node whose choice point
 it commits: a call at depth d stamps d on the cuts of its clause bodies,
 the query's cuts get 0, and a negation at depth d gives its probe's cuts
@@ -17,12 +22,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
+from string import ascii_uppercase
 
 from .errors import CyclicTermError, InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
-from .unify import RENAME_STYLES, Substitution, rename_clause, unify
+from .unify import (RENAME_STYLES, Substitution, rename_clause, resolve,
+                    unify)
 
 
 class NodeStatus(Enum):
@@ -52,9 +60,9 @@ class SearchNode:
     status: NodeStatus = NodeStatus.OPEN
     label: EdgeLabel = EdgeLabel()
     children: list["SearchNode"] = field(default_factory=list)
-    # image of the tree's query variables on the path to this node, or the
-    # cyclic-term error met building it, raised only if a success leaf needs it
-    answer: tuple[Term, ...] | CyclicTermError = ()
+    # the values the step to this node gave the variables of the parent's
+    # selected call; solutions() composes them down each path
+    bindings: tuple[tuple[Variable, Term], ...] = ()
     # lowest generation a clause renamed to expand this node may take
     floor: int = 1
 
@@ -96,6 +104,8 @@ class SearchTree:
 class Answer:
     bindings: tuple[tuple[Variable, Term], ...]
     path: tuple[int, ...]
+    # the query variables left unbound, which bound ones may share
+    free: tuple[Variable, ...] = ()
 
     @property
     def mapping(self) -> dict[Variable, Term]:
@@ -104,7 +114,47 @@ class Answer:
     def text(self) -> str:
         if not self.bindings:
             return "true"
-        return ", ".join(f"{v.name} = {term_text(t)}" for v, t in self.bindings)
+        if all(t.ground for _, t in self.bindings):  # nothing to name
+            return ", ".join(f"{v.name} = {term_text(t)}"
+                             for v, t in self.bindings)
+        return _sharing_text(self.bindings, self.free)
+
+
+def _sharing_text(bindings: tuple[tuple[Variable, Term], ...],
+                  free: tuple[Variable, ...]) -> str:
+    """Answer text that shows which unbound values are shared.
+
+    Query variables whose value is one and the same unbound variable
+    print as X = Y, Y = Z (a free query variable is its own value), and
+    that variable shows the first one's name wherever else it occurs.
+    Each other unbound variable that is anonymous, or whose name another
+    variable of the answer shows too, gets a fresh name _A, _B, ... in
+    order of first occurrence.
+    """
+    sharers: dict[Variable, list[Variable]] = {v: [v] for v in free}
+    for v, t in bindings:
+        if isinstance(t, Variable):
+            sharers.setdefault(t, []).append(v)
+    shown = {u: vs[0].name for u, vs in sharers.items() if len(vs) > 1}
+    others = [w for w in dict.fromkeys(
+        w for _, t in bindings for w in variables_of(t)) if w not in shown]
+    query_names = {v.name for v, _ in bindings}.union(v.name for v in free)
+    uses = Counter(w.name for w in others)
+    fresh = (f"_{c}{n or ''}" for n in count() for c in ascii_uppercase)
+    for w in others:
+        if (w.is_anonymous or uses[w.name] > 1
+                or (w.name in query_names and w not in free)):
+            shown[w] = next(n for n in fresh
+                            if n not in query_names and n not in uses)
+    display = Substitution({w: Variable(n) for w, n in shown.items()})
+    parts = []
+    for v, t in bindings:
+        if not isinstance(t, Variable) or len(sharers[t]) == 1:
+            parts.append(f"{v.name} = {term_text(display.apply(t))}")
+        elif sharers[t][0] is not v:
+            group = sharers[t]
+            parts.append(f"{group[group.index(v) - 1].name} = {v.name}")
+    return ", ".join(parts)
 
 
 def _tag_cuts(goals: GoalSeq, depth: int) -> GoalSeq:
@@ -128,10 +178,9 @@ def _names_of(goals: GoalSeq, label: EdgeLabel) -> frozenset[str]:
     return frozenset(v.name for v in vs if not v.is_anonymous)
 
 
-def _label_for(goal_term: Term, sigma: Substitution) -> EdgeLabel:
-    pairs = tuple((v, sigma.apply(v)) for v in variables_of(goal_term)
-                  if not v.is_anonymous and sigma.binds(v))
-    return EdgeLabel(pairs)
+def _label_for(bindings: tuple[tuple[Variable, Term], ...]) -> EdgeLabel:
+    shown = tuple(p for p in bindings if not p[0].is_anonymous)
+    return EdgeLabel(shown if len(shown) < len(bindings) else bindings)
 
 
 def _fail_leaf() -> SearchNode:
@@ -254,7 +303,7 @@ class _Builder:
         return children
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
-        return SearchNode(goals, answer=node.answer, floor=node.floor)
+        return SearchNode(goals, floor=node.floor)
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, depth: int) -> SearchNode:
@@ -264,14 +313,22 @@ class _Builder:
         if sigma is None:
             return _fail_leaf()
         goals = sigma.apply_goals(_tag_cuts(clause.body, depth) + rest)
-        answer = node.answer
-        if isinstance(answer, tuple):
-            try:
-                answer = tuple(sigma.apply(t) for t in answer)
-            except CyclicTermError as e:
-                answer = e
-        return SearchNode(goals, label=_label_for(call.term, sigma),
-                          answer=answer, floor=floor)
+        bound = [v for v in variables_of(call.term) if sigma.binds(v)]
+        try:
+            bindings = tuple((v, sigma.apply(v)) for v in bound)
+        except CyclicTermError:
+            # a cyclic value: the label raises if a shown variable has it.
+            # If only anonymous variables reach it, the step keeps its
+            # triangular bindings, renamed apart from the clause, and a
+            # success leaf that needs the value meets the cycle there.
+            label = EdgeLabel(tuple((v, sigma.apply(v)) for v in bound
+                                    if not v.is_anonymous))
+            renaming = Substitution(fresh)
+            bindings = tuple((v, renaming.apply(t)) for v, t in sigma.items()
+                             if v not in fresh)
+        else:
+            label = _label_for(bindings)
+        return SearchNode(goals, label=label, bindings=bindings, floor=floor)
 
 
 def build_tree(program: Program, query: GoalSeq,
@@ -283,7 +340,7 @@ def build_tree(program: Program, query: GoalSeq,
     limits = limits or Limits()
     options = options or EngineOptions()
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
-    root = SearchNode(_tag_cuts(query, 0), answer=qvars)
+    root = SearchNode(_tag_cuts(query, 0))
     builder = _Builder(program, limits, options)
     builder.run(root)
     return SearchTree(root, builder.truncated, qvars)
@@ -299,18 +356,48 @@ def expand(node: SearchNode, program: Program,
 
 
 def solutions(tree: SearchTree) -> list[Answer]:
-    """Success-leaf answers in depth-first (left-to-right) order."""
+    """Success-leaf answers in depth-first (left-to-right) order.
+
+    The walk keeps the bindings of the edges from the root to the node in
+    hand in one dict, and resolves the query variables against it at each
+    success leaf. A node's bindings go in on the way down, and a marker
+    under its children on the stack takes them out on the way back up. A
+    variable bound on a path is gone from the goals below, so no path
+    binds one twice, and taking them out is deleting their keys.
+    """
+    qvars = tree.query_vars
     out: list[Answer] = []
-    stack: list[tuple[SearchNode, tuple[int, ...]]] = [(tree.root, ())]
+    env: dict[Variable, Term] = {}
+    path: list[int] = []  # child indices from the root to the node in hand
+    # (node, depth, index among its siblings), or (None, 0, bindings to drop)
+    stack: list = [(tree.root, 0, 0)]
     while stack:
-        node, path = stack.pop()
+        node, depth, index = stack.pop()
+        if node is None:
+            for v, _ in index:
+                del env[v]
+            continue
+        if depth:
+            del path[depth - 1:]
+            path.append(index)
+        bindings = node.bindings
+        env.update(bindings)
         if node.status is NodeStatus.SUCCESS:
-            if isinstance(node.answer, CyclicTermError):
-                raise node.answer
+            resolved: dict[Variable, Term] = {}
+            values = [resolve(v, env, resolved) for v in qvars]
             # a query variable left unbound is not an answer binding
-            out.append(Answer(tuple(
-                (v, t) for v, t in zip(tree.query_vars, node.answer) if t != v),
-                path))
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[i], path + (i,)))
+            out.append(Answer(
+                tuple((v, t) for v, t in zip(qvars, values) if t is not v),
+                tuple(path),
+                tuple(v for v, t in zip(qvars, values) if t is v)))
+            for v, _ in bindings:
+                del env[v]
+            continue
+        if bindings:
+            stack.append((None, 0, bindings))
+        children = node.children
+        for i in range(len(children) - 1, -1, -1):
+            child = children[i]
+            if child.children or child.status is NodeStatus.SUCCESS:
+                stack.append((child, depth + 1, i))
     return out

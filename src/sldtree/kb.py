@@ -150,7 +150,8 @@ def goal_variables(goals: GoalSeq) -> list[Variable]:
         if isinstance(item, Variable):
             seen.setdefault(item)
         elif isinstance(item, Compound):
-            stack.extend(reversed(item.args))
+            if not item.ground:
+                stack.extend(reversed(item.args))
         elif isinstance(item, Call):
             stack.append(item.term)
         elif isinstance(item, Compare):

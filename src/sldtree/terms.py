@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 
 @dataclass(frozen=True, eq=False)
 class Variable:
     name: str
+    ground = False
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -27,6 +29,7 @@ class Variable:
 @dataclass(frozen=True)
 class Atom:
     name: str
+    ground = True
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
@@ -35,19 +38,28 @@ class Atom:
 @dataclass(frozen=True)
 class Integer:
     value: int
+    ground = True
 
     def __repr__(self) -> str:
         return f"Integer({self.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Compound:
     functor: str
     args: tuple["Term", ...]
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    def __init__(self, functor: str, args: tuple["Term", ...]) -> None:
+        if not args:
             raise ValueError("compound terms need at least one argument")
+        # set through __dict__: the generated frozen __init__ goes through
+        # object.__setattr__ per field, and with the flag set in a
+        # __post_init__ a compound took about 1.5 times as long to build
+        attrs = self.__dict__
+        attrs["functor"] = functor
+        attrs["args"] = args
+        # no variable below: a walk that only rewrites variables skips it
+        attrs["ground"] = all(map(_ground, args))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)
@@ -55,6 +67,8 @@ class Compound:
 
 
 Term = Union[Variable, Atom, Integer, Compound]
+
+_ground = attrgetter("ground")
 
 EMPTY_LIST = Atom("[]")
 CONS = "."
@@ -103,7 +117,7 @@ def variables_of(t: Term) -> list[Variable]:
         term = stack.pop()
         if isinstance(term, Variable):
             seen.setdefault(term)
-        elif isinstance(term, Compound):
+        elif not term.ground:
             stack.extend(reversed(term.args))
     return list(seen)
 

@@ -8,7 +8,7 @@ compound subterms at most once, so it terminates on cyclic terms too.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Container, Mapping
+from collections.abc import Container, ItemsView, Mapping
 from operator import is_not
 
 from .errors import CyclicTermError
@@ -36,48 +36,13 @@ class Substitution:
     def binds(self, v: Variable) -> bool:
         return v in self._bindings
 
-    def apply(self, t: Term) -> Term:
-        """t with each bound variable replaced by its resolved value.
+    def items(self) -> ItemsView[Variable, Term]:
+        """The triangular bindings, as unify() made them."""
+        return self._bindings.items()
 
-        One iterative walk. Unchanged subterms are kept by identity, and
-        the compound at the end of each variable chain is resolved once.
-        """
-        bindings, resolved = self._bindings, self._resolved
-        done: list[Term] = []
-        # terms to resolve, and 1-tuples: rebuild this compound, or keep
-        # this variable's value, from the top of `done`
-        todo: list = [t]
-        while todo:
-            item = todo.pop()
-            if type(item) is tuple:
-                (term,) = item
-                if isinstance(term, Variable):
-                    resolved[term] = done[-1]
-                    continue
-                k = len(done) - len(term.args)
-                if any(map(is_not, done[k:], term.args)):
-                    term = Compound(term.functor, tuple(done[k:]))
-                done[k:] = [term]
-            elif isinstance(item, Compound):
-                todo += (item,), *reversed(item.args)
-            elif not isinstance(item, Variable) or item not in bindings:
-                done.append(item)
-            else:
-                value = bindings[item]
-                while isinstance(value, Variable) and value in bindings:
-                    item, value = value, bindings[value]
-                if not isinstance(value, Compound):
-                    done.append(value)
-                elif (memo := resolved.get(item)) is None:
-                    resolved[item] = item  # open: its value is being walked
-                    todo += (item,), value
-                elif memo is item:
-                    self._resolved = {}  # drops the open marks
-                    raise CyclicTermError(
-                        f"cyclic term: {item.name} is bound inside its own value")
-                else:
-                    done.append(memo)
-        return done[0]
+    def apply(self, t: Term) -> Term:
+        """t with each bound variable replaced by its resolved value."""
+        return resolve(t, self._bindings, self._resolved)
 
     def apply_goal(self, g: Goal) -> Goal:
         if isinstance(g, Call):
@@ -104,6 +69,56 @@ class Substitution:
         inner = ", ".join(f"{v.name}->{term_text(t)}"
                           for v, t in self._bindings.items())
         return f"Substitution({{{inner}}})"
+
+
+def resolve(t: Term, bindings: Mapping[Variable, Term],
+            resolved: dict[Variable, Term]) -> Term:
+    """t with each variable bound in `bindings` replaced by its value.
+
+    `bindings` are triangular: a value may name variables bound in turn.
+    One iterative walk. Unchanged subterms, ground ones among them
+    unwalked, are kept by identity, and the compound at the end of each
+    variable chain is resolved once: `resolved` memoizes it for the walks
+    that share it. A variable met inside its own value raises
+    CyclicTermError and empties `resolved`.
+    """
+    done: list[Term] = []
+    # terms to resolve, and 1-tuples: rebuild this compound, or keep
+    # this variable's value, from the top of `done`
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:
+            (term,) = item
+            if isinstance(term, Variable):
+                resolved[term] = done[-1]
+                continue
+            k = len(done) - len(term.args)
+            if any(map(is_not, done[k:], term.args)):
+                term = Compound(term.functor, tuple(done[k:]))
+            done[k:] = [term]
+        elif item.ground:
+            done.append(item)
+        elif isinstance(item, Compound):
+            todo += (item,), *reversed(item.args)
+        elif item not in bindings:
+            done.append(item)
+        else:
+            value = bindings[item]
+            while isinstance(value, Variable) and value in bindings:
+                item, value = value, bindings[value]
+            if value.ground or not isinstance(value, Compound):
+                done.append(value)
+            elif (memo := resolved.get(item)) is None:
+                resolved[item] = item  # open: its value is being walked
+                todo += (item,), value
+            elif memo is item:
+                resolved.clear()  # drops the open marks
+                raise CyclicTermError(
+                    f"cyclic term: {item.name} is bound inside its own value")
+            else:
+                done.append(memo)
+    return done[0]
 
 
 def unify(t1: Term, t2: Term,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import sldtree.engine as engine
@@ -370,22 +372,22 @@ def test_a_fact_is_renamed_apart_from_the_path():
 
 
 def tree_variables(node):
-    """Every variable in a node's goals, edge label and answer."""
+    """Every variable in a node's goals, edge label and bindings."""
     vs = set(goal_variables(node.goals))
-    for v, t in node.label.bindings:
+    for v, t in node.label.bindings + node.bindings:
         vs |= {v, *variables_of(t)}
-    if isinstance(node.answer, tuple):
-        for t in node.answer:
-            vs.update(variables_of(t))
     return vs
 
 
 def test_no_variable_of_a_parsed_clause_enters_the_tree():
-    # each clause's variables start out bound to fresh ones; the last
-    # tree leaves variables of facts unbound
+    # each clause's variables start out bound to fresh ones; the facts
+    # tree leaves variables of facts unbound, and in the last tree a step
+    # keeps its own bindings, as its anonymous variable's value is cyclic
     facts = parse_program("q(Z, Z). r(_, _).")
+    cyclic = parse_program("p(_). eq(A, g(A)).")
     trees = golden_trees() + [
-        (facts, build_tree(facts, parse_query("q(X, Y), r(Z, X)")))]
+        (facts, build_tree(facts, parse_query("q(X, Y), r(Z, X)"))),
+        (cyclic, build_tree(cyclic, parse_query("p(Y), eq(Y, Y)")))]
     checked = clause_vars_seen = 0
     for program, tree in trees:
         clause_vars = {v for c in program.clauses for v in c.variables}
@@ -486,10 +488,19 @@ def test_ground_query_answers_true():
 def test_success_leaves_carry_their_answers():
     tree = build_tree(load_fixture("append"), parse_query("append(X, Y, [a])"))
     x, y = tree.query_vars
-    success = [n for n in leaves(tree.root) if n.status is SUCCESS]
-    assert [tuple(map(term_text, n.answer)) for n in success] == [
-        ("[]", "[a]"), ("[a]", "[]")]
-    assert tree.root.answer == (x, y)
+    success = []
+    stack = [(tree.root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.status is SUCCESS:
+            success.append(path)
+        stack.extend((c, path + (i,)) for i, c in
+                     reversed(list(enumerate(node.children))))
+    found = solutions(tree)
+    assert [a.path for a in found] == success
+    assert [tuple((v, term_text(t)) for v, t in a.bindings) for a in found] == [
+        ((x, "[]"), (y, "[a]")), ((x, "[a]"), (y, "[]"))]
+    assert tree.root.bindings == ()
 
 
 def test_cyclic_binding_on_a_failing_branch_is_no_answer():
@@ -501,6 +512,27 @@ def test_cyclic_binding_on_a_failing_branch_is_no_answer():
         solutions(build("p(f(_)). eq(A, A).", "p(Y), eq(Y, f(Y))"))
 
 
+@pytest.mark.parametrize("src, query, want", [
+    # one variable shared, printed the way Prolog top levels print it
+    ("s(A, A).", "s(X, Y)", "X = Y"),
+    ("q(Z, Z). r(_, _).", "q(X, Y), r(Z, X)", "X = Y, Z = _A"),
+    # distinct anonymous values get distinct names
+    ("r(_, _).", "r(X, Y)", "X = _A, Y = _B"),
+    # one name shown by two variables: both renamed. The first W is
+    # bound through an anonymous variable, so no edge label shows it,
+    # and the path no longer holds its name when d/1's W is renamed
+    ("a(f(_)). c(f(g(W))). d(h(W)).", "a(X), c(X), d(Y)",
+     "X = f(g(_A)), Y = h(_B)"),
+    # a query variable left unbound is its own value
+    ("eq(A, A).", "eq(f(X), f(Y))", "X = Y"),
+    ("eq(A, A).", "eq(f(X, X, Z), f(Y, W, g(Y)))", "Z = g(X), X = Y, Y = W"),
+    ("p(A, B, f(A)).", "p(X, Y, Z)", "X = A, Y = B, Z = f(A)"),
+])
+def test_answers_show_which_query_variables_share_a_value(src, query, want):
+    (answer,) = solutions(build(src, query))
+    assert answer.text() == want
+
+
 def test_rebuilding_gives_identical_answers_and_statuses():
     src = "loves(vincent, mia). loves(marsellus, mia)." \
           " jealous(A, B) :- loves(A, C), loves(B, C)."
@@ -508,6 +540,28 @@ def test_rebuilding_gives_identical_answers_and_statuses():
     two = build(src, "jealous(X, Y)")
     assert answers(one) == answers(two)
     assert leaf_statuses(one) == leaf_statuses(two)
+
+
+def held_after_build(depth):
+    """Bytes a chain build `depth` deep still holds once it returns."""
+    program = parse_program("m(s(X)) :- m(X).")
+    query = parse_query("m(X)")
+    tracemalloc.start()
+    try:
+        tree = build_tree(program, query,
+                          Limits(max_depth=depth, max_nodes=100000),
+                          EngineOptions(rename="numeric"))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tree.truncated
+    return held
+
+
+def test_the_build_holds_memory_linear_in_the_depth():
+    # each step binds X to s(X1): an answer carried on every node, or a
+    # walk of the ground part, would make this grow with the square
+    assert held_after_build(800) / held_after_build(400) <= 2.5
 
 
 # -- smaller pieces ------------------------------------------------------------

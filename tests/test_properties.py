@@ -8,12 +8,17 @@ column-by-column loop over free(). unify() must agree with a textbook
 unifier that does the occurs check. The reader's pattern tokenizer must
 agree with the character loop it replaced. expand() on one clause,
 renamed through the unifier's starting bindings, must agree with renaming
-a copy of the clause first. On propositional programs with cut, `;` and
-`\\+`, the solutions of the built tree must be as many as a generator
-solver over goal lists finds.
+a copy of the clause first. On generated programs with variables, the
+answers solutions() resolves at the success leaves must equal those of
+an answer kept on every node and mapped through each step's unifier, and
+two query variables must print as aliases exactly when they share one
+unbound value. On propositional programs with cut, `;` and `\\+`, the
+solutions of the built tree must be as many as a generator solver over
+goal lists finds.
 """
 import json
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
@@ -22,6 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sldtree.engine as engine
 from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
                             build_tree, expand, solutions)
 from sldtree.errors import CyclicTermError
@@ -377,10 +383,20 @@ clauses = st.builds(Clause, _pairs(CLAUSE_POOL),
                     st.lists(_body_goals, max_size=3).map(tuple))
 
 
-def copying_child(clause, call, qvars, floor, style):
+def resolved_bindings(bindings, call):
+    """Each bound variable of `call` with its value resolved through
+    `bindings`, as text, or the cyclic-term message met doing so."""
+    try:
+        return [f"{v.name}={term_text(bindings.apply(v))}"
+                for v in variables_of(call) if bindings.binds(v)]
+    except CyclicTermError as e:
+        return str(e)
+
+
+def copying_child(clause, call, floor, style):
     """Expanding `call` with a copy of `clause` renamed in full first:
     None on a clash, the cyclic-term message, or the child's goal text,
-    label lines, answer text and floor."""
+    label lines, bindings and floor."""
     avoid = frozenset(v.name for v in variables_of(call) if not v.is_anonymous)
     fresh, floor = rename_clause(clause, avoid, floor, style)
     copy = Substitution(fresh)
@@ -389,16 +405,13 @@ def copying_child(clause, call, qvars, floor, style):
         return None
     try:
         goals = seq_text(sigma.apply_goals(copy.apply_goals(clause.body)))
-        try:
-            answer = ", ".join(term_text(sigma.apply(v)) for v in qvars)
-        except CyclicTermError as e:
-            answer = str(e)
+        bindings = resolved_bindings(sigma, call)
         label = [f"{v.name}={term_text(sigma.apply(v))}"
                  for v in variables_of(call)
                  if not v.is_anonymous and sigma.binds(v)]
     except CyclicTermError as e:
         return str(e)
-    return goals, label, answer, floor
+    return goals, label, bindings, floor
 
 
 CX, CY = CLAUSE_POOL[:2]
@@ -412,10 +425,12 @@ CX, CY = CLAUSE_POOL[:2]
          "prime")
 @example(Clause(Compound("p", (CX, CY))),
          Compound("p", (CALL_POOL[0], CALL_POOL[0])), 2, "numeric")
+@example(Clause(Compound("p", (CX, CX))),
+         Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)))), 1,
+         "prime")
 def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
-    qvars = tuple(v for v in variables_of(call) if not v.is_anonymous)
-    node = SearchNode((Call(call),), answer=qvars, floor=floor)
-    want = copying_child(clause, call, qvars, floor, style)
+    node = SearchNode((Call(call),), floor=floor)
+    want = copying_child(clause, call, floor, style)
     try:
         (child,) = expand(node, Program([clause]), EngineOptions(rename=style))
     except CyclicTermError as e:
@@ -424,10 +439,160 @@ def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
     if child.status is NodeStatus.FAIL:
         assert want is None
         return
-    answer = (str(child.answer) if isinstance(child.answer, CyclicTermError)
-              else ", ".join(term_text(t) for t in child.answer))
-    assert (seq_text(child.goals), child.label.lines(), answer,
+    bindings = resolved_bindings(Substitution(dict(child.bindings)), call)
+    assert (seq_text(child.goals), child.label.lines(), bindings,
             child.floor) == want
+
+
+# -- answers resolved at the leaves, against a per-node answer map ----------
+
+# q/1 clauses whose bodies call p/2, so the programs below recurse
+_p_calls = _pairs(CLAUSE_POOL).map(Call)
+_q_body_goals = st.one_of(
+    _p_calls, _calls, st.just(Cut()),
+    st.lists(_p_calls, min_size=1, max_size=2).map(
+        lambda gs: Negation(tuple(gs))),
+    st.builds(lambda l, r: Disjunction((l,), (r,)), _p_calls, _calls))
+q_clauses = st.builds(Clause, _calls.map(lambda c: c.term),
+                      st.lists(_q_body_goals, max_size=2).map(tuple))
+# facts over bare variables, such as p(X, X), make query variables share
+_bare = st.sampled_from(CLAUSE_POOL + (Atom("a"),))
+bare_facts = st.builds(lambda x, y: Clause(Compound("p", (x, y))),
+                       _bare, _bare)
+var_programs = st.lists(st.one_of(clauses, q_clauses, bare_facts),
+                        min_size=1, max_size=5).map(Program)
+# bare variables often, so that two of them can come to share a value
+_query_args = st.one_of(st.sampled_from(CALL_POOL), _terms(CALL_POOL))
+_query_calls = st.one_of(
+    st.builds(lambda x, y: Call(Compound("p", (x, y))),
+              _query_args, _query_args),
+    _query_args.map(lambda t: Call(Compound("q", (t,)))))
+# a branch of ';' or a probe of '\+' binds what its sibling leaves free
+var_queries = st.lists(st.one_of(
+    _query_calls,
+    st.builds(lambda l, r: Disjunction((l,), (r,)),
+              _query_calls, _query_calls),
+    st.lists(_query_calls, min_size=1, max_size=2).map(
+        lambda gs: Negation(tuple(gs)))),
+    min_size=1, max_size=3).map(tuple)
+
+
+def build_with_mgus(program, query, limits):
+    """The tree, and the most general unifier of each clause child's step
+    (None for a clash), caught as the builder makes them."""
+    mgus, made = {}, []
+    real_unify, real_child = engine.unify, engine._Builder._clause_child
+
+    def unify_(*args):
+        made.append(real_unify(*args))
+        return made[-1]
+
+    def clause_child(self, *args):
+        child = real_child(self, *args)
+        mgus[child] = made.pop()
+        return child
+
+    with mock.patch.object(engine, "unify", unify_), \
+            mock.patch.object(engine._Builder, "_clause_child", clause_child):
+        tree = build_tree(program, query, limits)
+    return tree, mgus
+
+
+def answers_by_mapping(tree, mgus):
+    """(bindings, path) of each success leaf, from an answer kept on every
+    node: a clause child maps its parent's through its step's unifier. A
+    cyclic image is kept as the error and raised at a success leaf."""
+    qvars = tree.query_vars
+    out = []
+    stack = [(tree.root, qvars, ())]
+    while stack:
+        node, answer, path = stack.pop()
+        if node.status is NodeStatus.SUCCESS:
+            if isinstance(answer, CyclicTermError):
+                raise answer
+            out.append((tuple((v, t) for v, t in zip(qvars, answer)
+                              if t is not v), path))
+        for i in range(len(node.children) - 1, -1, -1):
+            child, image = node.children[i], answer
+            sigma = mgus.get(child)
+            if sigma is not None and isinstance(answer, tuple):
+                try:
+                    image = tuple(sigma.apply(t) for t in answer)
+                except CyclicTermError as e:
+                    image = e
+            stack.append((child, image, path + (i,)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(var_programs, var_queries)
+@example(Program([Clause(Compound("q", (Compound("f", (CLAUSE_POOL[2],)),))),
+                  Clause(Compound("p", (CX, CX)))]),
+         (Call(Compound("q", (CALL_POOL[0],))),
+          Call(Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)))))))
+def test_answers_resolved_at_the_leaves_agree_with_a_per_node_map(
+        program, query):
+    try:
+        tree, mgus = build_with_mgus(program, query,
+                                     Limits(max_depth=8, max_nodes=400))
+    except CyclicTermError:
+        return  # a shown variable's value: the build raised, as it should
+    try:
+        want = answers_by_mapping(tree, mgus)
+    except CyclicTermError:
+        with pytest.raises(CyclicTermError):
+            solutions(tree)
+        return
+    assert [(a.bindings, a.path) for a in solutions(tree)] == want
+
+
+def alias_classes(text, query_names):
+    """For each query variable's name, a representative of the names the
+    answer text prints as its aliases."""
+    parent = {}
+
+    def root(n):
+        while parent.get(n, n) != n:
+            n = parent[n]
+        return n
+
+    for part in text.split(", "):
+        left, right = part.split(" = ")
+        if right in query_names:
+            parent[root(right)] = root(left)
+    return root
+
+
+def _p(x, y):
+    return Call(Compound("p", (x, y)))
+
+
+QX, QZ, QY1 = CALL_POOL[0], CALL_POOL[3], CALL_POOL[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(var_programs, var_queries)
+@example(Program([Clause(Compound("p", (CX, CX)))]), (_p(QX, QZ), _p(QZ, QY1)))
+@example(Program([Clause(Compound("p", (CX, CX)))]),
+         (_p(Compound("f", (QX,)), Compound("f", (QZ,))),))
+def test_query_variables_print_as_aliases_when_they_share_a_value(
+        program, query):
+    try:
+        answers = solutions(build_tree(program, query,
+                                       Limits(max_depth=8, max_nodes=400)))
+    except CyclicTermError:
+        return
+    for a in answers:
+        if not a.bindings:
+            continue
+        shown = [v for v, _ in a.bindings] + list(a.free)
+        root = alias_classes(a.text(), {v.name for v in shown})
+        value = dict(a.bindings)
+        for i, x in enumerate(shown):
+            for y in shown[:i]:
+                vx, vy = value.get(x, x), value.get(y, y)
+                same = vx is vy and isinstance(vx, Variable)
+                assert (root(x.name) == root(y.name)) == same, a.text()
 
 
 # -- cut, ';' and '\+' against a generator solver ---------------------------
