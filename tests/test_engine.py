@@ -548,10 +548,11 @@ def held_after_build(depth):
     query = parse_query("m(X)")
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         tree = build_tree(program, query,
                           Limits(max_depth=depth, max_nodes=100000),
                           EngineOptions(rename="numeric"))
-        held = tracemalloc.get_traced_memory()[0]
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert tree.truncated
@@ -559,8 +560,8 @@ def held_after_build(depth):
 
 
 def test_the_build_holds_memory_linear_in_the_depth():
-    # each step binds X to s(X1): an answer carried on every node, or a
-    # walk of the ground part, would make this grow with the square
+    # each step binds X to s(X1): an answer carried on every node would
+    # make this grow with the square of the depth
     assert held_after_build(800) / held_after_build(400) <= 2.5
 
 
