@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import count
 from string import ascii_uppercase
 
-from .errors import CyclicTermError, InstantiationError, UnknownPredicateError
+from .errors import InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
@@ -114,9 +114,6 @@ class Answer:
     def text(self) -> str:
         if not self.bindings:
             return "true"
-        if all(t.ground for _, t in self.bindings):  # nothing to name
-            return ", ".join(f"{v.name} = {term_text(t)}"
-                             for v, t in self.bindings)
         return _sharing_text(self.bindings, self.free)
 
 
@@ -176,11 +173,6 @@ def _names_of(goals: GoalSeq, label: EdgeLabel) -> frozenset[str]:
     for v, t in label.bindings:
         vs += [v, *variables_of(t)]
     return frozenset(v.name for v in vs if not v.is_anonymous)
-
-
-def _label_for(bindings: tuple[tuple[Variable, Term], ...]) -> EdgeLabel:
-    shown = tuple(p for p in bindings if not p[0].is_anonymous)
-    return EdgeLabel(shown if len(shown) < len(bindings) else bindings)
 
 
 def _fail_leaf() -> SearchNode:
@@ -313,21 +305,15 @@ class _Builder:
         if sigma is None:
             return _fail_leaf()
         goals = sigma.apply_goals(_tag_cuts(clause.body, depth) + rest)
-        bound = [v for v in variables_of(call.term) if sigma.binds(v)]
-        try:
-            bindings = tuple((v, sigma.apply(v)) for v in bound)
-        except CyclicTermError:
-            # a cyclic value: the label raises if a shown variable has it.
-            # If only anonymous variables reach it, the step keeps its
-            # triangular bindings, renamed apart from the clause, and a
-            # success leaf that needs the value meets the cycle there.
-            label = EdgeLabel(tuple((v, sigma.apply(v)) for v in bound
-                                    if not v.is_anonymous))
-            renaming = Substitution(fresh)
-            bindings = tuple((v, renaming.apply(t)) for v, t in sigma.items()
-                             if v not in fresh)
-        else:
-            label = _label_for(bindings)
+        # the label raises on a cyclic value of a shown variable; one
+        # that only anonymous variables reach raises at a success leaf
+        # that needs it, since the step keeps the triangular bindings,
+        # renamed apart from the clause, and solutions() resolves them
+        label = EdgeLabel(tuple((v, sigma.apply(v))
+                                for v in variables_of(call.term)
+                                if sigma.binds(v) and not v.is_anonymous))
+        bindings = tuple((v, resolve(t, fresh, {})) for v, t in sigma.items()
+                         if v not in fresh)
         return SearchNode(goals, label=label, bindings=bindings, floor=floor)
 
 

@@ -44,22 +44,16 @@ class Integer:
         return f"Integer({self.value})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Compound:
     functor: str
     args: tuple["Term", ...]
 
-    def __init__(self, functor: str, args: tuple["Term", ...]) -> None:
-        if not args:
+    def __post_init__(self) -> None:
+        if not self.args:
             raise ValueError("compound terms need at least one argument")
-        # set through __dict__: the generated frozen __init__ goes through
-        # object.__setattr__ per field, and with the flag set in a
-        # __post_init__ a compound took about 1.5 times as long to build
-        attrs = self.__dict__
-        attrs["functor"] = functor
-        attrs["args"] = args
         # no variable below: a walk that only rewrites variables skips it
-        attrs["ground"] = all(map(_ground, args))
+        object.__setattr__(self, "ground", all(map(_ground, self.args)))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)

@@ -381,8 +381,8 @@ def tree_variables(node):
 
 def test_no_variable_of_a_parsed_clause_enters_the_tree():
     # each clause's variables start out bound to fresh ones; the facts
-    # tree leaves variables of facts unbound, and in the last tree a step
-    # keeps its own bindings, as its anonymous variable's value is cyclic
+    # tree leaves variables of facts unbound, and in the last tree an
+    # anonymous variable's value is cyclic
     facts = parse_program("q(Z, Z). r(_, _).")
     cyclic = parse_program("p(_). eq(A, g(A)).")
     trees = golden_trees() + [
