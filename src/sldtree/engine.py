@@ -6,9 +6,9 @@ away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
 Answers are resolved at the success leaves. A clause child keeps only
-the bindings its step gave to the variables of the parent's selected
-call, and solutions() composes them down each path, so no node carries
-the answer so far and the build is linear in the tree.
+the bindings its step's unifier made, renamed apart from the clause,
+and solutions() composes them down each path, so no node carries the
+answer so far and the build is linear in the tree.
 
 A cut names the depth, on the DFS path, of the node whose choice point
 it commits: a call at depth d stamps d on the cuts of its clause bodies,
@@ -60,8 +60,8 @@ class SearchNode:
     status: NodeStatus = NodeStatus.OPEN
     label: EdgeLabel = EdgeLabel()
     children: list["SearchNode"] = field(default_factory=list)
-    # the values the step to this node gave the variables of the parent's
-    # selected call; solutions() composes them down each path
+    # the triangular bindings the step to this node made, renamed apart
+    # from the clause; solutions() composes them down each path
     bindings: tuple[tuple[Variable, Term], ...] = ()
     # lowest generation a clause renamed to expand this node may take
     floor: int = 1
