@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -546,6 +547,10 @@ def held_after_build(depth):
     """Bytes a chain build `depth` deep still holds once it returns."""
     program = parse_program("m(s(X)) :- m(X).")
     query = parse_query("m(X)")
+    # a full collection empties the free lists of tuples and the like:
+    # an object the build took from them was allocated before tracing
+    # began, and would go uncounted, more so the warmer the process
+    gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
