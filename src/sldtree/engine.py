@@ -5,6 +5,10 @@ one child per clause in source order. Failed unifications, branches cut
 away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
+Bindings are plain dicts in triangular form, as unify() returns them.
+A step's goals come from one walk, _rewrite(), which resolves their
+terms through the step's bindings and scopes their unowned cuts.
+
 Answers are resolved at the success leaves. A clause child keeps only
 the bindings its step's unifier made, renamed apart from the clause,
 and solutions() composes them down each path, so no node carries the
@@ -29,8 +33,7 @@ from .errors import InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
-from .unify import (RENAME_STYLES, Substitution, rename_clause, resolve,
-                    unify)
+from .unify import RENAME_STYLES, rename_clause, resolve, unify
 
 
 class NodeStatus(Enum):
@@ -143,28 +146,38 @@ def _sharing_text(bindings: tuple[tuple[Variable, Term], ...],
                 or (w.name in query_names and w not in free)):
             shown[w] = next(n for n in fresh
                             if n not in query_names and n not in uses)
-    display = Substitution({w: Variable(n) for w, n in shown.items()})
+    display = {w: Variable(n) for w, n in shown.items()}
     parts = []
     for v, t in bindings:
         if not isinstance(t, Variable) or len(sharers[t]) == 1:
-            parts.append(f"{v.name} = {term_text(display.apply(t))}")
+            parts.append(f"{v.name} = {term_text(resolve(t, display, {}))}")
         elif sharers[t][0] is not v:
             group = sharers[t]
             parts.append(f"{group[group.index(v) - 1].name} = {v.name}")
     return ", ".join(parts)
 
 
-def _tag_cuts(goals: GoalSeq, depth: int) -> GoalSeq:
-    """Scope unowned cuts to depth. Negations keep theirs until expanded."""
+def _rewrite(goals: GoalSeq, depth: int | None,
+             bindings: dict[Variable, Term],
+             memo: dict[Variable, Term]) -> GoalSeq:
+    """goals with their terms resolved through the triangular `bindings`
+    (see unify.resolve, which `memo` serves) and each unowned cut scoped
+    to `depth`. A negation keeps its cuts unowned until it is expanded."""
     out = []
     for g in goals:
-        if isinstance(g, Cut) and g.depth is None:
-            out.append(Cut(depth))
+        if isinstance(g, Call):
+            g = Call(resolve(g.term, bindings, memo))
+        elif isinstance(g, Compare):
+            g = Compare(g.op, resolve(g.lhs, bindings, memo),
+                        resolve(g.rhs, bindings, memo))
+        elif isinstance(g, Cut) and g.depth is None:
+            g = Cut(depth)
         elif isinstance(g, Disjunction):
-            out.append(Disjunction(_tag_cuts(g.left, depth),
-                                   _tag_cuts(g.right, depth)))
-        else:
-            out.append(g)
+            g = Disjunction(_rewrite(g.left, depth, bindings, memo),
+                            _rewrite(g.right, depth, bindings, memo))
+        elif isinstance(g, Negation):
+            g = Negation(_rewrite(g.inner, None, bindings, memo))
+        out.append(g)
     return tuple(out)
 
 
@@ -286,7 +299,7 @@ class _Builder:
             children = [self._plain_child(node, g.left + rest),
                         self._plain_child(node, g.right + rest)]
         elif isinstance(g, Negation):
-            inner = _tag_cuts(g.inner, depth + 1)
+            inner = _rewrite(g.inner, depth + 1, {}, {})
             probe = inner + (Cut(depth), FailGoal())
             children = [self._plain_child(node, probe),
                         self._plain_child(node, rest)]
@@ -304,16 +317,19 @@ class _Builder:
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
             return _fail_leaf()
-        goals = sigma.apply_goals(_tag_cuts(clause.body, depth) + rest)
+        # cuts in `rest` outside a negation are scoped already
+        memo: dict[Variable, Term] = {}
+        goals = _rewrite(clause.body + rest, depth, sigma, memo)
         # the label raises on a cyclic value of a shown variable; one
         # that only anonymous variables reach raises at a success leaf
         # that needs it, since the step keeps the triangular bindings,
         # renamed apart from the clause, and solutions() resolves them
-        label = EdgeLabel(tuple((v, sigma.apply(v))
+        label = EdgeLabel(tuple((v, resolve(v, sigma, memo))
                                 for v in variables_of(call.term)
-                                if sigma.binds(v) and not v.is_anonymous))
-        bindings = tuple((v, resolve(t, fresh, {})) for v, t in sigma.items()
-                         if v not in fresh)
+                                if v in sigma and not v.is_anonymous))
+        renamed: dict[Variable, Term] = {}
+        bindings = tuple((v, resolve(t, fresh, renamed))
+                         for v, t in sigma.items() if v not in fresh)
         return SearchNode(goals, label=label, bindings=bindings, floor=floor)
 
 
@@ -326,7 +342,7 @@ def build_tree(program: Program, query: GoalSeq,
     limits = limits or Limits()
     options = options or EngineOptions()
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
-    root = SearchNode(_tag_cuts(query, 0))
+    root = SearchNode(_rewrite(query, 0, {}, {}))
     builder = _Builder(program, limits, options)
     builder.run(root)
     return SearchTree(root, builder.truncated, qvars)

@@ -6,11 +6,11 @@ class PrologError(Exception):
 
 
 class CyclicTermError(PrologError):
-    """Applying a substitution would expand a variable bound inside itself.
+    """Resolving bindings would expand a variable bound inside itself.
 
     Unification runs without an occurs-check, so a binding like X -> f(X)
     can be created; it only becomes an error when something tries to
-    apply it.
+    resolve a term through it.
     """
 
 

@@ -1,74 +1,21 @@
-"""Unification without occurs-check, substitutions, clause renaming.
+"""Unification without occurs-check, resolving, clause renaming.
 
-A substitution keeps the triangular bindings unify() made; apply()
-resolves them, once per variable, and raises CyclicTermError on a
-variable met inside its own value. unify() decomposes each pair of
-compound subterms at most once, so it terminates on cyclic terms too.
+Bindings are a plain dict from variables to terms in triangular form,
+as unify() makes them: a value may name variables that are bound in
+turn. resolve() is the one walk that reads them, resolving each variable
+once and raising CyclicTermError on a variable met inside its own value.
+unify() decomposes each pair of compound subterms at most once, so it
+terminates on cyclic terms too.
 """
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Container, ItemsView, Mapping
+from collections.abc import Container, Mapping
 from operator import is_not
 
 from .errors import CyclicTermError
-from .kb import Call, Clause, Compare, Disjunction, Goal, GoalSeq, Negation
-from .terms import Compound, Term, Variable, term_text
-
-
-class Substitution:
-    """Immutable variable -> term mapping in triangular form."""
-
-    __slots__ = ("_bindings", "_resolved")
-
-    def __init__(self, bindings: dict[Variable, Term] | None = None):
-        self._bindings = {v: t for v, t in (bindings or {}).items() if t is not v}
-        # resolved value of each variable bound to a compound
-        self._resolved: dict[Variable, Term] = {}
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._bindings
-
-    def get(self, v: Variable) -> Term | None:
-        return self.apply(v) if v in self._bindings else None
-
-    def binds(self, v: Variable) -> bool:
-        return v in self._bindings
-
-    def items(self) -> ItemsView[Variable, Term]:
-        """The triangular bindings, as unify() made them."""
-        return self._bindings.items()
-
-    def apply(self, t: Term) -> Term:
-        """t with each bound variable replaced by its resolved value."""
-        return resolve(t, self._bindings, self._resolved)
-
-    def apply_goal(self, g: Goal) -> Goal:
-        if isinstance(g, Call):
-            return Call(self.apply(g.term))
-        if isinstance(g, Compare):
-            return Compare(g.op, self.apply(g.lhs), self.apply(g.rhs))
-        if isinstance(g, Disjunction):
-            return Disjunction(self.apply_goals(g.left), self.apply_goals(g.right))
-        if isinstance(g, Negation):
-            return Negation(self.apply_goals(g.inner))
-        return g
-
-    def apply_goals(self, goals: GoalSeq) -> GoalSeq:
-        return tuple(self.apply_goal(g) for g in goals)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Substitution)
-                and self._bindings == other._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v.name}->{term_text(t)}"
-                          for v, t in self._bindings.items())
-        return f"Substitution({{{inner}}})"
+from .kb import Clause
+from .terms import Compound, Term, Variable
 
 
 def resolve(t: Term, bindings: Mapping[Variable, Term],
@@ -122,15 +69,17 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
 
 
 def unify(t1: Term, t2: Term,
-          bindings: Mapping[Variable, Term] | None = None) -> Substitution | None:
-    """Most general unifier of t1 and t2, or None.
+          bindings: Mapping[Variable, Term] | None = None
+          ) -> dict[Variable, Term] | None:
+    """Most general unifier of t1 and t2 as triangular bindings, or None.
 
     No occurs-check: unify(X, f(X)) succeeds with a cyclic binding.
     When both sides are variables the left one is bound, so callers
     passing (goal, clause head) get goal-variable-first bindings.
     `bindings`, if given, are the triangular bindings to start from and
     are not changed; a clause's renaming (see rename_clause) is passed
-    this way, so the head is unified as if it were renamed.
+    this way, so the head is unified as if it were renamed, and the
+    result holds them too.
     """
     bindings = dict(bindings or ())
     decomposed: set[tuple[int, int]] = set()  # ids of compound pairs
@@ -155,7 +104,7 @@ def unify(t1: Term, t2: Term,
                 queue.extend(zip(a.args, b.args))
         elif a != b:
             return None
-    return Substitution(bindings)
+    return bindings
 
 
 RENAME_STYLES = ("prime", "numeric")  # X', X'' ...  or  X1, X2 ...

@@ -543,10 +543,14 @@ def test_rebuilding_gives_identical_answers_and_statuses():
     assert leaf_statuses(one) == leaf_statuses(two)
 
 
-def held_after_build(depth):
-    """Bytes a chain build `depth` deep still holds once it returns."""
-    program = parse_program("m(s(X)) :- m(X).")
-    query = parse_query("m(X)")
+def held_after_build(shape, n):
+    """Bytes a build of `shape` at size n still holds once it returns."""
+    if shape == "chain":  # n steps deep
+        src, query = "m(s(X)) :- m(X).", "m(X)"
+    else:  # a table of n facts, one in 7 an answer
+        src = "".join(f"fact(k{i:05}, v{i % 7}).\n" for i in range(n))
+        query = "fact(K, v3)"
+    program, goals = parse_program(src), parse_query(query)
     # a full collection empties the free lists of tuples and the like:
     # an object the build took from them was allocated before tracing
     # began, and would go uncounted, more so the warmer the process
@@ -554,20 +558,22 @@ def held_after_build(depth):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tree = build_tree(program, query,
-                          Limits(max_depth=depth, max_nodes=100000),
+        tree = build_tree(program, goals,
+                          Limits(max_depth=n, max_nodes=100000),
                           EngineOptions(rename="numeric"))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert tree.truncated
+    assert tree.truncated == (shape == "chain")
     return held
 
 
-def test_the_build_holds_memory_linear_in_the_depth():
-    # each step binds X to s(X1): an answer carried on every node would
-    # make this grow with the square of the depth
-    assert held_after_build(800) / held_after_build(400) <= 2.5
+@pytest.mark.parametrize("shape, n", [("chain", 400), ("table", 1000)],
+                         ids=("chain", "table"))
+def test_the_build_holds_memory_linear_in_the_depth(shape, n):
+    # a chain step binds X to s(X1): an answer carried on every node
+    # would make the chain grow with the square of its depth
+    assert held_after_build(shape, 2 * n) / held_after_build(shape, n) <= 2.5
 
 
 # -- smaller pieces ------------------------------------------------------------

@@ -31,16 +31,15 @@ import sldtree.engine as engine
 from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
                             build_tree, expand, solutions)
 from sldtree.errors import CyclicTermError
-from sldtree.kb import (Call, Clause, Cut, Disjunction, FailGoal, Negation,
-                        Program, TrueGoal, seq_text)
+from sldtree.kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal,
+                        Negation, Program, TrueGoal, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
 from sldtree.terms import (Atom, Compound, Variable, indicator, term_text,
                            variables_of)
-from sldtree.unify import (RENAME_STYLES, Substitution, rename_clause,
-                           unify)
+from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -208,16 +207,16 @@ def test_unify_agrees_with_a_textbook_occurs_check_unifier(t1, t2):
     want = textbook_unify(t1, t2)
     s = unify(t1, t2)
     try:
-        both = None if s is None else s.apply(Compound("p", (t1, t2)))
+        both = None if s is None else resolve(Compound("p", (t1, t2)), s, {})
     except CyclicTermError:
         both = None
     assert (both is None) == (want is None)
     if want is None:
         return
-    assert s.apply(t1) == s.apply(t2)
+    assert resolve(t1, s, {}) == resolve(t2, s, {})
     assert _subst(want, t1) == _subst(want, t2)
-    assert s.apply(both) == both
-    assert is_variant(s.apply(t1), _subst(want, t1))
+    assert resolve(both, s, {}) == both
+    assert is_variant(resolve(t1, s, {}), _subst(want, t1))
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -387,10 +386,27 @@ def resolved_bindings(bindings, call):
     """Each bound variable of `call` with its value resolved through
     `bindings`, as text, or the cyclic-term message met doing so."""
     try:
-        return [f"{v.name}={term_text(bindings.apply(v))}"
-                for v in variables_of(call) if bindings.binds(v)]
+        return [f"{v.name}={term_text(resolve(v, bindings, {}))}"
+                for v in variables_of(call) if v in bindings]
     except CyclicTermError as e:
         return str(e)
+
+
+def mapped_goals(goals, bindings):
+    """goals with every term resolved through `bindings`, cuts as they are."""
+    def goal(g):
+        if isinstance(g, Call):
+            return Call(resolve(g.term, bindings, {}))
+        if isinstance(g, Compare):
+            return Compare(g.op, resolve(g.lhs, bindings, {}),
+                           resolve(g.rhs, bindings, {}))
+        if isinstance(g, Disjunction):
+            return Disjunction(mapped_goals(g.left, bindings),
+                               mapped_goals(g.right, bindings))
+        if isinstance(g, Negation):
+            return Negation(mapped_goals(g.inner, bindings))
+        return g
+    return tuple(map(goal, goals))
 
 
 def copying_child(clause, call, floor, style):
@@ -399,16 +415,15 @@ def copying_child(clause, call, floor, style):
     label lines, bindings and floor."""
     avoid = frozenset(v.name for v in variables_of(call) if not v.is_anonymous)
     fresh, floor = rename_clause(clause, avoid, floor, style)
-    copy = Substitution(fresh)
-    sigma = unify(call, copy.apply(clause.head))
+    sigma = unify(call, resolve(clause.head, fresh, {}))
     if sigma is None:
         return None
     try:
-        goals = seq_text(sigma.apply_goals(copy.apply_goals(clause.body)))
+        goals = seq_text(mapped_goals(mapped_goals(clause.body, fresh), sigma))
         bindings = resolved_bindings(sigma, call)
-        label = [f"{v.name}={term_text(sigma.apply(v))}"
+        label = [f"{v.name}={term_text(resolve(v, sigma, {}))}"
                  for v in variables_of(call)
-                 if not v.is_anonymous and sigma.binds(v)]
+                 if not v.is_anonymous and v in sigma]
     except CyclicTermError as e:
         return str(e)
     return goals, label, bindings, floor
@@ -439,7 +454,7 @@ def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
     if child.status is NodeStatus.FAIL:
         assert want is None
         return
-    bindings = resolved_bindings(Substitution(dict(child.bindings)), call)
+    bindings = resolved_bindings(dict(child.bindings), call)
     assert (seq_text(child.goals), child.label.lines(), bindings,
             child.floor) == want
 
@@ -517,7 +532,7 @@ def answers_by_mapping(tree, mgus):
             sigma = mgus.get(child)
             if sigma is not None and isinstance(answer, tuple):
                 try:
-                    image = tuple(sigma.apply(t) for t in answer)
+                    image = tuple(resolve(t, sigma, {}) for t in answer)
                 except CyclicTermError as e:
                     image = e
             stack.append((child, image, path + (i,)))

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from sldtree.engine import build_tree
+from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
@@ -41,7 +42,6 @@ def test_goals_and_labels_are_plain_text():
 
 
 def test_truncated_flag_is_carried():
-    from sldtree.engine import Limits
     tree = build_tree(parse_program("p :- p."), parse_query("p"),
                       limits=Limits(max_depth=5))
     doc = json.loads(serialize(tree))
@@ -61,6 +61,21 @@ def test_round_trip_is_identity(fixture):
 @pytest.mark.parametrize("fixture", [f.name for f in FIXTURES])
 def test_serialization_is_deterministic(fixture):
     assert serialize(fixture_tree(fixture)) == serialize(fixture_tree(fixture))
+
+
+@pytest.mark.xfail(sys.version_info[:2] == (3, 12), raises=RecursionError,
+                   strict=True,
+                   reason="3.12's C JSON decoder recurses past any limit on a "
+                          "500-deep document; ROADMAP item 7's iterative "
+                          "reader mends it")
+def test_a_500_deep_chain_round_trips_with_the_recursion_limit_unchanged():
+    tree = build_tree(parse_program("p :- p."), parse_query("p"),
+                      limits=Limits(max_depth=500))
+    doc = serialize(tree)
+    limit = sys.getrecursionlimit()
+    # documents, not views: == on a 500-deep view recurses by itself
+    assert serialize(deserialize(doc)) == doc
+    assert sys.getrecursionlimit() == limit
 
 
 def test_to_view_passes_views_through():

@@ -6,7 +6,7 @@ from sldtree.errors import CyclicTermError
 from sldtree.reader import parse_program, parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, term_text,
                            variables_of)
-from sldtree.unify import Substitution, derive, rename_clause, unify
+from sldtree.unify import derive, rename_clause, resolve, unify
 
 
 def v(name):
@@ -17,7 +17,7 @@ def v(name):
 
 def test_unify_identical_atoms_gives_empty_mgu():
     s = unify(Compound("p", (Atom("a"),)), Compound("p", (Atom("a"),)))
-    assert s is not None and s.is_empty
+    assert s == {}
 
 
 def test_unify_mismatched_functors_fails():
@@ -33,16 +33,16 @@ def test_unify_binds_goal_variables_to_fact_constants():
     goal = Compound("loves", (a, c))
     fact = Compound("loves", (Atom("vincent"), Atom("mia")))
     s = unify(goal, fact)
-    assert s.get(a) == Atom("vincent")
-    assert s.get(c) == Atom("mia")
+    assert resolve(a, s, {}) == Atom("vincent")
+    assert resolve(c, s, {}) == Atom("mia")
     assert len(s) == 2
 
 
 def test_unify_var_var_binds_left_to_right():
     x, y = v("X"), v("Y")
     s = unify(x, y)
-    assert s.get(x) == y
-    assert not s.binds(y)
+    assert resolve(x, s, {}) == y
+    assert y not in s
 
 
 def test_unify_result_is_resolved():
@@ -51,8 +51,8 @@ def test_unify_result_is_resolved():
     t1 = Compound("p", (x, y))
     t2 = Compound("p", (Compound("f", (y,)), Atom("a")))
     s = unify(t1, t2)
-    assert s.get(x) == Compound("f", (Atom("a"),))
-    assert s.get(y) == Atom("a")
+    assert resolve(x, s, {}) == Compound("f", (Atom("a"),))
+    assert resolve(y, s, {}) == Atom("a")
 
 
 def test_unify_equalizes():
@@ -61,7 +61,7 @@ def test_unify_equalizes():
     t2 = Compound("f", (Compound("h", (z,)), z, Atom("b")))
     s = unify(t1, t2)
     assert s is not None
-    assert s.apply(t1) == s.apply(t2)
+    assert resolve(t1, s, {}) == resolve(t2, s, {})
 
 
 def test_unify_lists():
@@ -69,8 +69,8 @@ def test_unify_lists():
     t2 = parse_term("[a,b,c]")
     h, tail = variables_of(t1)
     s = unify(t1, t2)
-    assert s.get(h) == Atom("a")
-    assert term_text(s.get(tail)) == "[b,c]"
+    assert resolve(h, s, {}) == Atom("a")
+    assert term_text(resolve(tail, s, {})) == "[b,c]"
 
 
 def test_unify_without_occurs_check_is_cyclic():
@@ -78,7 +78,7 @@ def test_unify_without_occurs_check_is_cyclic():
     s = unify(x, Compound("f", (x,)))
     assert s is not None
     with pytest.raises(CyclicTermError) as info:
-        s.apply(x)
+        resolve(x, s, {})
     assert "bound inside its own value" in str(info.value)
 
 
@@ -94,7 +94,7 @@ def test_unify_terminates_when_a_variable_meets_its_own_image():
     s = unify(t1, t2)
     assert s is not None
     with pytest.raises(CyclicTermError):
-        s.apply(t1.args[0])
+        resolve(t1.args[0], s, {})
 
 
 def test_unify_terminates_on_two_cyclic_bindings_unified():
@@ -104,25 +104,25 @@ def test_unify_terminates_on_two_cyclic_bindings_unified():
     assert s is not None
     for x in variables_of(t1):
         with pytest.raises(CyclicTermError):
-            s.apply(x)
+            resolve(x, s, {})
 
 
 def test_bindings_stay_triangular_until_applied():
-    # X is bound to f(Y) as it stands; Y's binding shows only on apply
+    # X is bound to f(Y) as it stands; Y's binding shows only on resolve
     x, y = v("X"), v("Y")
     s = unify(Compound("p", (x, y)),
               Compound("p", (Compound("f", (y,)), Atom("a"))))
-    assert repr(s) == "Substitution({X->f(Y), Y->a})"
-    assert s.apply(x) == Compound("f", (Atom("a"),))
+    assert s == {x: Compound("f", (y,)), y: Atom("a")}
+    assert resolve(x, s, {}) == Compound("f", (Atom("a"),))
 
 
 def test_apply_keeps_unchanged_subterms_by_identity():
     x = v("X")
     ground = parse_term("g([a,b,c], h(1))")
     t = Compound("p", (x, ground))
-    s = Substitution({x: Atom("a")})
-    assert s.apply(t).args[1] is ground
-    assert s.apply(ground) is ground
+    s = {x: Atom("a")}
+    assert resolve(t, s, {}).args[1] is ground
+    assert resolve(ground, s, {}) is ground
 
 
 def test_apply_walks_terms_deeper_than_the_recursion_limit():
@@ -132,7 +132,7 @@ def test_apply_walks_terms_deeper_than_the_recursion_limit():
     for _ in range(depth):
         t = Compound("f", (t,))
     s = unify(Compound("p", (x, t)), Compound("p", (Atom("a"), t)))
-    out = s.apply(t)
+    out = resolve(t, s, {})
     for _ in range(depth):
         out = out.args[0]
     assert out == Atom("a")
@@ -144,13 +144,14 @@ def test_anonymous_variables_unify_independently():
     assert s is not None and len(s) == 2
 
 
-# -- Substitution ---------------------------------------------------------
+# -- resolve --------------------------------------------------------------
 
 def test_apply_leaves_unbound_variables_alone():
     x, y = v("X"), v("Y")
-    s = Substitution({x: Atom("a")})
-    assert s.apply(y) == y
-    assert s.apply(Compound("f", (x, y))) == Compound("f", (Atom("a"), y))
+    s = {x: Atom("a")}
+    assert resolve(y, s, {}) == y
+    assert (resolve(Compound("f", (x, y)), s, {})
+            == Compound("f", (Atom("a"), y)))
 
 
 def test_apply_is_idempotent():
@@ -158,18 +159,13 @@ def test_apply_is_idempotent():
     s = unify(Compound("p", (x, Compound("f", (y,)))),
               Compound("p", (Compound("g", (y,)), Compound("f", (Atom("c"),)))))
     t = Compound("q", (x, y))
-    assert s.apply(s.apply(t)) == s.apply(t)
+    assert resolve(resolve(t, s, {}), s, {}) == resolve(t, s, {})
 
 
 def test_identity_bindings_are_dropped():
+    # unify never binds a variable to itself
     x = v("X")
-    assert Substitution({x: x}).is_empty
-
-
-def test_substitution_equality_ignores_insertion_order():
-    x, y = v("X"), v("Y")
-    assert (Substitution({x: Atom("a"), y: Atom("b")})
-            == Substitution({y: Atom("b"), x: Atom("a")}))
+    assert unify(x, x) == {}
 
 
 # -- rename_clause --------------------------------------------------------
@@ -222,7 +218,7 @@ def test_numeric_rename_style():
 def test_renaming_is_a_bijection_on_occurrences():
     c = first_clause("append([H|T], L2, [H|L3]) :- append(T, L2, L3).")
     fresh, _ = rename_clause(c, {"H"}, 1, "prime")
-    head = Substitution(fresh).apply(c.head)
+    head = resolve(c.head, fresh, {})
     head_h = head.args[0].args[0]
     out_h = head.args[2].args[0]
     assert head_h == out_h  # shared occurrences stay shared
@@ -257,9 +253,10 @@ def test_unify_starts_from_the_given_bindings():
     a = v("A")
     sigma = unify(Compound("p", (a, Atom("b"))), c.head, fresh)
     x, y = (fresh[w] for w in c.variables)
-    assert sigma.apply(a) is x  # the call variable binds to the fresh one
-    assert sigma.apply(c.head) == Compound("p", (x, Atom("b")))
-    assert sigma.apply(y) == Atom("b")
+    # the call variable binds to the fresh one
+    assert resolve(a, sigma, {}) is x
+    assert resolve(c.head, sigma, {}) == Compound("p", (x, Atom("b")))
+    assert resolve(y, sigma, {}) == Atom("b")
     assert len(fresh) == 2  # the starting bindings are not changed
 
 
