@@ -20,6 +20,9 @@ the query's cuts get 0, and a negation at depth d gives its probe's cuts
 d + 1. Reaching a cut prunes the unexplored siblings at that node and at
 every node below it on the path, so a cut that is the first goal of its
 own target prunes nothing.
+
+A clause whose head clashes with the call at a top-level argument (see
+kb.arg_keys) becomes a failure leaf without renaming or unification.
 """
 from __future__ import annotations
 
@@ -31,7 +34,8 @@ from string import ascii_uppercase
 
 from .errors import InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
-                 Negation, Program, TrueGoal, goal_text, goal_variables)
+                 Negation, Program, TrueGoal, arg_keys, goal_text,
+                 goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
 from .unify import RENAME_STYLES, rename_clause, resolve, unify
 
@@ -192,14 +196,16 @@ def _fail_leaf() -> SearchNode:
     return SearchNode((), status=NodeStatus.FAIL)
 
 
+_COMPARE = {"<": int.__lt__, ">": int.__gt__,
+            "=<": int.__le__, ">=": int.__ge__}
+
+
 def _compare_holds(g: Compare) -> bool:
     for side in (g.lhs, g.rhs):
         if not isinstance(side, Integer):
             raise InstantiationError(
                 f"comparison needs two integers: {goal_text(g)}")
-    table = {"<": int.__lt__, ">": int.__gt__,
-             "=<": int.__le__, ">=": int.__ge__}
-    return table[g.op](g.lhs.value, g.rhs.value)
+    return _COMPARE[g.op](g.lhs.value, g.rhs.value)
 
 
 def apply_cut(path: list[tuple[SearchNode, int]], depth: int) -> None:
@@ -283,14 +289,28 @@ class _Builder:
                         f"{term_text(g.term)}")
                 children = [_fail_leaf()]
             else:
-                children = [self._clause_child(node, g, rest, c, depth)
-                            for c in self.program.clauses_for(key)]
+                # _rewrite resolves every goal term through its step's
+                # bindings, so no argument of a call is a bound variable and
+                # a key that is not None is the argument's own: a head whose
+                # key differs at that position does not unify with it
+                bound = [(i, k) for i, k in enumerate(arg_keys(g.term))
+                         if k is not None]
+                children = []
+                for c in self.program.clauses_for(key):
+                    keys = c.head_keys
+                    for i, k in bound:
+                        if keys[i] not in (None, k):
+                            children.append(_fail_leaf())
+                            break
+                    else:
+                        children.append(
+                            self._clause_child(node, g, rest, c, depth))
         elif isinstance(g, TrueGoal):
             children = [self._plain_child(node, rest)]
         elif isinstance(g, FailGoal):
             children = [_fail_leaf()]
         elif isinstance(g, Cut):
-            apply_cut([(f.node, f.index) for f in frames], g.depth or 0)
+            apply_cut([(f.node, f.index) for f in frames[g.depth or 0:]], 0)
             children = [self._plain_child(node, rest)]
         elif isinstance(g, Compare):
             children = ([self._plain_child(node, rest)]
@@ -312,8 +332,11 @@ class _Builder:
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
                       clause, depth: int) -> SearchNode:
-        fresh, floor = rename_clause(clause, self.path, node.floor,
-                                     self.options.rename)
+        if clause.variables:
+            fresh, floor = rename_clause(clause, self.path, node.floor,
+                                         self.options.rename)
+        else:  # what rename_clause gives a clause without variables
+            fresh, floor = {}, node.floor
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
             return _fail_leaf()

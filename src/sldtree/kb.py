@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import (Compound, Term, Variable, atom_text, indicator,
+from .terms import (Atom, Compound, Term, Variable, atom_text, indicator,
                     is_callable, term_text, variables_of)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
@@ -87,6 +87,11 @@ class Clause:
         return tuple(dict.fromkeys(
             variables_of(self.head) + goal_variables(self.body)))
 
+    @cached_property
+    def head_keys(self) -> tuple:
+        """arg_keys of the head."""
+        return arg_keys(self.head)
+
 
 class Program:
     """Clauses grouped by (name, arity), source order preserved."""
@@ -110,6 +115,21 @@ class Program:
 
     def __len__(self) -> int:
         return len(self._order)
+
+
+def arg_keys(t: Term) -> tuple:
+    """One key per argument of the callable t: an atom's name, an
+    integer's value, a compound's (functor, arity), None for a variable.
+
+    Two arguments whose keys are both not None and differ do not unify.
+    """
+    if not isinstance(t, Compound):
+        return ()
+    return tuple([None if type(a) is Variable
+                  else a.name if type(a) is Atom
+                  else (a.functor, len(a.args)) if type(a) is Compound
+                  else a.value
+                  for a in t.args])
 
 
 def goal_text(g: Goal) -> str:
@@ -173,5 +193,6 @@ def clause_text(c: Clause) -> str:
 __all__ = [
     "COMPARE_OPS", "Call", "Disjunction", "Negation", "Cut", "TrueGoal",
     "FailGoal", "Compare", "Goal", "GoalSeq", "Clause", "Program",
-    "goal_text", "seq_text", "goal_variables", "clause_text", "atom_text",
+    "arg_keys", "goal_text", "seq_text", "goal_variables", "clause_text",
+    "atom_text",
 ]

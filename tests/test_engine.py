@@ -13,8 +13,9 @@ from sldtree.errors import (CyclicTermError, InstantiationError,
 from sldtree.fixtures import load_fixture
 from sldtree.kb import Call, Negation, goal_variables, seq_text
 from sldtree.reader import parse_program, parse_query
-from sldtree.terms import indicator, term_text, variables_of
-from sldtree.unify import unify
+from sldtree.terms import (Compound, Variable, indicator, term_text,
+                           variables_of)
+from sldtree.unify import rename_clause, unify
 from test_golden import DB, cases as golden_cases
 
 OPEN = NodeStatus.OPEN
@@ -402,25 +403,81 @@ def test_no_variable_of_a_parsed_clause_enters_the_tree():
     assert checked > 500 and clause_vars_seen > 50
 
 
+def top_level_clash(call, head) -> bool:
+    """Whether two top-level arguments of call and head, neither of them
+    a variable, differ in kind, atom name, integer value, or functor or
+    arity of a compound."""
+    for a, b in zip(getattr(call, "args", ()), getattr(head, "args", ())):
+        if isinstance(a, Variable) or isinstance(b, Variable):
+            continue
+        if type(a) is not type(b):
+            return True
+        if isinstance(a, Compound):
+            if (a.functor, len(a.args)) != (b.functor, len(b.args)):
+                return True
+        elif a != b:
+            return True
+    return False
+
+
+def record_tries(monkeypatch) -> list:
+    """The ("rename", clause) and ("unify", call, head) calls the engine
+    makes from now on, in order."""
+    events = []
+
+    def counted_rename(clause, *args):
+        events.append(("rename", clause))
+        return rename_clause(clause, *args)
+
+    def counted_unify(call, head, *args):
+        events.append(("unify", call, head))
+        return unify(call, head, *args)
+
+    monkeypatch.setattr(engine, "rename_clause", counted_rename)
+    monkeypatch.setattr(engine, "unify", counted_unify)
+    return events
+
+
 def test_each_clause_tried_is_unified_once(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return unify(*args)
-
-    monkeypatch.setattr(engine, "unify", counted)
+    events = record_tries(monkeypatch)
     program = parse_program((DB / "perm.pl").read_text(encoding="utf-8"))
     tree = build_tree(program, parse_query("perm([a,b,c], P)"))
-    clause_children = 0
+    # nodes are expanded in DFS pre-order, all of a node's clauses at once
+    want = []
+    clashes = 0
     stack = [tree.root]
     while stack:
         node = stack.pop()
         if node.children and isinstance(node.goals[0], Call):
-            clause_children += len(node.children)
-        stack.extend(node.children)
+            call = node.goals[0].term
+            for c in program.clauses_for(indicator(call)):
+                if top_level_clash(call, c.head):
+                    clashes += 1
+                    continue
+                if c.variables:
+                    want.append(("rename", c))
+                want.append(("unify", call, c.head))
+        stack.extend(reversed(node.children))
     assert len(solutions(tree)) == 6
-    assert len(calls) == clause_children > 0
+    assert clashes > 0 and want
+    assert events == want
+
+
+def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
+    n = 40
+    src = "".join(f"d({i % 5}, v(X), X).\n" for i in range(n))
+    program = parse_program(src)
+    events = record_tries(monkeypatch)
+    tree = build_tree(program, parse_query("d(3, A, B)"))
+    call = tree.root.goals[0].term
+    matching = [c for c in program.clauses if c.head.args[0].value == 3]
+    assert len(matching) == n // 5
+    assert events == [e for c in matching
+                      for e in (("rename", c), ("unify", call, c.head))]
+    assert [c.status for c in tree.root.children] == \
+        [SUCCESS if i % 5 == 3 else FAIL for i in range(n)]
+    assert [a.text() for a in solutions(tree)] == \
+        ["A = v(X), B = X"] * len(matching)
 
 
 # -- tree shape invariants ------------------------------------------------------

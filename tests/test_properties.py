@@ -5,16 +5,17 @@ serialize() writes the canonical document by hand; json.dumps of the
 equivalent plain document is the oracle it must match byte for byte.
 The canvas search for a free connector column must agree with a
 column-by-column loop over free(). unify() must agree with a textbook
-unifier that does the occurs check. The reader's pattern tokenizer must
-agree with the character loop it replaced. expand() on one clause,
-renamed through the unifier's starting bindings, must agree with renaming
-a copy of the clause first. On generated programs with variables, the
-answers solutions() resolves at the success leaves must equal those of
-an answer kept on every node and mapped through each step's unifier, and
-two query variables must print as aliases exactly when they share one
-unbound value. On propositional programs with cut, `;` and `\\+`, the
-solutions of the built tree must be as many as a generator solver over
-goal lists finds.
+unifier that does the occurs check, and a head that expand() fails
+without unifying must not unify with the call. The reader's pattern
+tokenizer must agree with the character loop it replaced. expand() on
+one clause, renamed through the unifier's starting bindings, must agree
+with renaming a copy of the clause first. On generated programs with
+variables, the answers solutions() resolves at the success leaves must
+equal those of an answer kept on every node and mapped through each
+step's unifier, and two query variables must print as aliases exactly
+when they share one unbound value. On propositional programs with cut,
+`;` and `\\+`, the solutions of the built tree must be as many as a
+generator solver over goal lists finds.
 """
 import json
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
                                deserialize, serialize)
-from sldtree.terms import (Atom, Compound, Variable, indicator, term_text,
-                           variables_of)
+from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
+                           term_text, variables_of)
 from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
@@ -217,6 +218,40 @@ def test_unify_agrees_with_a_textbook_occurs_check_unifier(t1, t2):
     assert _subst(want, t1) == _subst(want, t2)
     assert resolve(both, s, {}) == both
     assert is_variant(resolve(t1, s, {}), _subst(want, t1))
+
+
+# -- head keys --------------------------------------------------------------
+
+# kinds that clash at the top: an atom named like a functor or an integer
+_key_leaves = st.sampled_from(POOL + (Atom("a"), Atom("f"), Atom("1"),
+                                      Integer(0), Integer(1)))
+key_terms = st.recursive(
+    _key_leaves,
+    lambda kids: st.one_of(
+        st.builds(lambda x: Compound("f", (x,)), kids),
+        st.builds(lambda x, y: Compound("f", (x, y)), kids, kids),
+        st.builds(lambda x, y: Compound("g", (x, y)), kids, kids)),
+    max_leaves=6)
+key_args = st.lists(key_terms, min_size=1, max_size=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(key_args, key_args)
+@example([Atom("f")], [Compound("f", (X,))])
+@example([Integer(1), X], [Atom("1"), X])
+def test_a_head_key_clash_means_no_unifier(call_args, head_args):
+    n = min(len(call_args), len(head_args))
+    call = Compound("p", tuple(call_args[:n]))
+    head = Compound("p", tuple(head_args[:n]))
+    with mock.patch.object(engine, "unify", wraps=unify) as tried:
+        try:
+            (child,) = expand(SearchNode((Call(call),)),
+                              Program([Clause(head)]))
+        except CyclicTermError:  # met after unifying
+            pass
+    if not tried.called:
+        assert child.status is NodeStatus.FAIL
+        assert unify(call, head) is None
 
 
 # -- tokenizer --------------------------------------------------------------
