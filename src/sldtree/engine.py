@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
+from itertools import chain, count
 from string import ascii_uppercase
 
 from .errors import InstantiationError, UnknownPredicateError
@@ -185,11 +185,10 @@ def _rewrite(goals: GoalSeq, depth: int | None,
     return tuple(out)
 
 
-def _names_of(goals: GoalSeq, label: EdgeLabel) -> frozenset[str]:
-    vs = goal_variables(goals)
-    for v, t in label.bindings:
-        vs += [v, *variables_of(t)]
-    return frozenset(v.name for v in vs if not v.is_anonymous)
+def _names_of(goals: GoalSeq, label: EdgeLabel) -> set[str]:
+    """The names a node shows in its goals and its edge label."""
+    return {v.name for v in goal_variables((*goals, *chain(*label.bindings)))
+            if not v.is_anonymous}
 
 
 def _fail_leaf() -> SearchNode:
@@ -225,7 +224,8 @@ def apply_cut(path: list[tuple[SearchNode, int]], depth: int) -> None:
 @dataclass
 class _Frame:
     node: SearchNode
-    names: frozenset[str]  # the node's own, as counted in _Builder.path
+    # the names the node put on the path: those it shows and no ancestor does
+    added: set[str]
     index: int = -1
 
 
@@ -234,8 +234,9 @@ class _Builder:
         self.program = program
         self.limits = limits
         self.options = options
-        # per variable name, how many nodes on the DFS path show it
-        self.path: Counter[str] = Counter()
+        # the names the nodes on the DFS path show; each name belongs to
+        # the frame of the topmost node that shows it, and leaves with it
+        self.path: set[str] = set()
         self.node_count = 1  # the root
         self.truncated = False
 
@@ -247,10 +248,7 @@ class _Builder:
             f.index += 1
             if f.index >= len(f.node.children):
                 frames.pop()
-                for n in f.names:  # a name no node shows leaves the path
-                    self.path[n] -= 1
-                    if not self.path[n]:
-                        del self.path[n]
+                self.path -= f.added
                 continue
             child = f.node.children[f.index]
             if child.status is NodeStatus.OPEN:
@@ -264,11 +262,11 @@ class _Builder:
             node.status = NodeStatus.TRUNCATED
             self.truncated = True
             return
-        names = _names_of(node.goals, node.label)
-        self.path.update(names)
+        added = _names_of(node.goals, node.label) - self.path
+        self.path |= added
         node.children = self.expand(node, frames)
         self.node_count += len(node.children)
-        frames.append(_Frame(node, names))
+        frames.append(_Frame(node, added))
 
     # -- expansion ------------------------------------------------------
 
@@ -375,7 +373,7 @@ def expand(node: SearchNode, program: Program,
            options: EngineOptions | None = None) -> list[SearchNode]:
     """One expansion step on its own, mainly for poking at the rules."""
     builder = _Builder(program, Limits(), options or EngineOptions())
-    builder.path.update(_names_of(node.goals, node.label))
+    builder.path = _names_of(node.goals, node.label)
     node.children = builder.expand(node, [])
     return node.children
 

@@ -6,7 +6,9 @@ children, place them side by side, then draw connector runs from the
 parent's anchor down to each child's anchor using /, | and \\ glyphs at
 integer-interpolated columns. Binding labels sit beside the runs; when
 a label does not fit it walks down its run, flips sides, and as a last
-resort the connector rows are made taller. Nothing is ever truncated.
+resort the connector rows are made taller. No node is dropped, but text
+can be lost: a vertical run is drawn over any box or label in its way
+(perm([a,b,c],P) loses two strings so; ROADMAP item 4).
 The canvas a parent is drawn on grows to the left when a run or label
 reaches left of its origin, and the common indent is stripped after.
 
@@ -77,8 +79,6 @@ class _Canvas:
 
     def free(self, r: int, c0: int, c1: int) -> bool:
         # half-open column range, offset-adjusted
-        if r < 0:
-            return False
         if r >= len(self.rows):
             return True
         c0 = max(c0 + self.off, 0)
@@ -139,18 +139,15 @@ def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
                  prefer_bottom: bool = False) -> bool:
     if not lines:
         return True
+    # every caller passes height > len(lines), so each start row fits
     start_rows = list(range(max(1, (height + 1 - len(lines)) // 2),
                             height - len(lines) + 2))
-    if not start_rows:
-        start_rows = [1]
     if prefer_bottom:
         start_rows = sorted(set(start_rows) | {max(1, r) for r in
                             (height - len(lines), height - len(lines) + 1)},
                             reverse=True)
     sides = (True, False) if prefer_left else (False, True)
     for start in start_rows:
-        if start + len(lines) - 1 > height:
-            continue
         rows = range(start, start + len(lines))
         for left in sides:
             cols = [_run_col(parent, anchor, r, height) for r in rows]

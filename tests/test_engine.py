@@ -600,6 +600,21 @@ def test_rebuilding_gives_identical_answers_and_statuses():
     assert leaf_statuses(one) == leaf_statuses(two)
 
 
+def held(make):
+    """make()'s result, and the bytes it still holds once make returns."""
+    # a full collection empties the free lists of tuples and the like:
+    # an object make took from them was allocated before tracing began,
+    # and would go uncounted, more so the warmer the process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def held_after_build(shape, n):
     """Bytes a build of `shape` at size n still holds once it returns."""
     if shape == "chain":  # n steps deep
@@ -608,21 +623,11 @@ def held_after_build(shape, n):
         src = "".join(f"fact(k{i:05}, v{i % 7}).\n" for i in range(n))
         query = "fact(K, v3)"
     program, goals = parse_program(src), parse_query(query)
-    # a full collection empties the free lists of tuples and the like:
-    # an object the build took from them was allocated before tracing
-    # began, and would go uncounted, more so the warmer the process
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tree = build_tree(program, goals,
-                          Limits(max_depth=n, max_nodes=100000),
-                          EngineOptions(rename="numeric"))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    tree, size = held(lambda: build_tree(
+        program, goals, Limits(max_depth=n, max_nodes=100000),
+        EngineOptions(rename="numeric")))
     assert tree.truncated == (shape == "chain")
-    return held
+    return size
 
 
 @pytest.mark.parametrize("shape, n", [("chain", 400), ("table", 1000)],
@@ -631,6 +636,24 @@ def test_the_build_holds_memory_linear_in_the_depth(shape, n):
     # a chain step binds X to s(X1): an answer carried on every node
     # would make the chain grow with the square of its depth
     assert held_after_build(shape, 2 * n) / held_after_build(shape, n) <= 2.5
+
+
+def held_by_answers(n):
+    """Bytes the answers of the nat tree n steps deep hold, built first."""
+    tree = build("n(0). n(succ(X)) :- n(X).", "n(X)",
+                 limits=Limits(max_depth=n))
+    answers, size = held(lambda: solutions(tree))
+    assert len(answers) == n + 1
+    return size
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: each success leaf resolves its answer from scratch, "
+    "so the answers share no subterm and hold memory quadratic in n"))
+def test_the_answers_hold_memory_linear_in_the_depth():
+    # the answer at depth k is succ^k(0); answers that shared the value
+    # their shallower sibling resolved would grow linearly
+    assert held_by_answers(200) / held_by_answers(100) <= 2.5
 
 
 # -- smaller pieces ------------------------------------------------------------

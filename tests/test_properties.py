@@ -13,7 +13,9 @@ with renaming a copy of the clause first. On generated programs with
 variables, the answers solutions() resolves at the success leaves must
 equal those of an answer kept on every node and mapped through each
 step's unifier, and two query variables must print as aliases exactly
-when they share one unbound value. On propositional programs with cut,
+when they share one unbound value, and at each clause tried the
+builder's path set must hold exactly the names shown from the root
+down to the node it expands. On propositional programs with cut,
 `;` and `\\+`, the solutions of the built tree must be as many as a
 generator solver over goal lists finds.
 """
@@ -33,7 +35,8 @@ from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
                             build_tree, expand, solutions)
 from sldtree.errors import CyclicTermError
 from sldtree.kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal,
-                        Negation, Program, TrueGoal, seq_text)
+                        Negation, Program, TrueGoal, goal_variables,
+                        seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
@@ -643,6 +646,47 @@ def test_query_variables_print_as_aliases_when_they_share_a_value(
                 vx, vy = value.get(x, x), value.get(y, y)
                 same = vx is vy and isinstance(vx, Variable)
                 assert (root(x.name) == root(y.name)) == same, a.text()
+
+
+def paths_at_each_clause(program, query, limits):
+    """The tree, and (node, a copy of the builder's path set) at each
+    clause tried, caught as the builder tries them."""
+    seen = []
+    real_child = engine._Builder._clause_child
+
+    def clause_child(self, node, *args):
+        seen.append((node, set(self.path)))
+        return real_child(self, node, *args)
+
+    with mock.patch.object(engine._Builder, "_clause_child", clause_child):
+        tree = build_tree(program, query, limits)
+    return tree, seen
+
+
+def shown_names(node):
+    """The names a node shows in its goals and on its edge label."""
+    vs = goal_variables(node.goals)
+    for v, t in node.label.bindings:
+        vs += [v, *variables_of(t)]
+    return {v.name for v in vs if not v.is_anonymous}
+
+
+@settings(max_examples=300, deadline=None)
+@given(var_programs, var_queries)
+def test_the_path_set_holds_the_names_shown_from_the_root(program, query):
+    try:
+        tree, seen = paths_at_each_clause(program, query,
+                                          Limits(max_depth=8, max_nodes=400))
+    except CyclicTermError:
+        return
+    want = {}
+    stack = [(tree.root, set())]
+    while stack:
+        node, above = stack.pop()
+        want[node] = names = above | shown_names(node)
+        stack.extend((child, names) for child in node.children)
+    for node, path in seen:
+        assert path == want[node]
 
 
 # -- cut, ';' and '\+' against a generator solver ---------------------------

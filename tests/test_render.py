@@ -8,6 +8,7 @@ from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import MIN_WIDTH, RenderOptions, render_text
 from sldtree.serialize import deserialize, serialize, to_view
+from test_golden import DB
 
 GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
 
@@ -177,3 +178,29 @@ def test_chain_deeper_than_the_recursion_limit_draws():
     lines = render_text(tree).splitlines()
     assert lines.count("[p]") == depth and lines[-1] == "..."
     assert sys.getrecursionlimit() == limit
+
+
+def shown_strings(view):
+    """Every open node's [goals] and every label line of an edge that is
+    not pruned: the text a drawing of `view` has to show."""
+    out = []
+    stack = [view.root]
+    while stack:
+        node = stack.pop()
+        if node.status == "open":
+            out.append(f"[{','.join(node.goals)}]")
+        for edge in node.children:
+            if edge.node.status != "pruned":
+                out += [f"{name}={text}" for name, text in edge.label]
+            stack.append(edge.node)
+    return out
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the drawing loses [perm([c],T''')] and H'''''=c"))
+def test_perm_3_draws_every_goal_list_and_label():
+    tree = build((DB / "perm.pl").read_text(), "perm([a,b,c],P)")
+    text = render_text(tree, RenderOptions(max_width=120))
+    wanted = shown_strings(to_view(tree))
+    assert len(wanted) == 129
+    assert [s for s in wanted if s not in text] == []
