@@ -9,10 +9,13 @@ Bindings are plain dicts in triangular form, as unify() returns them.
 A step's goals come from one walk, _rewrite(), which resolves their
 terms through the step's bindings and scopes their unowned cuts.
 
-Answers are resolved at the success leaves. A clause child keeps only
-the bindings its step's unifier made, renamed apart from the clause,
-and solutions() composes them down each path, so no node carries the
-answer so far and the build is linear in the tree.
+Answers are resolved at the success leaves, in the build's own walk.
+The bindings a clause child's step made, renamed apart from the clause,
+stay in its parent's frame only while the child's subtree is built,
+and the builder keeps those of the steps on the path in one dict. At a
+success leaf it resolves the query variables through that dict, and a
+cyclic value raises there. No node carries the answer so far, so the
+build is linear in the tree.
 
 A cut names the depth, on the DFS path, of the node whose choice point
 it commits: a call at depth d stamps d on the cuts of its clause bodies,
@@ -38,6 +41,9 @@ from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  goal_variables)
 from .terms import Integer, Term, Variable, indicator, term_text, variables_of
 from .unify import RENAME_STYLES, rename_clause, resolve, unify
+
+# a step's triangular bindings, as (variable, value) pairs
+Step = tuple[tuple[Variable, Term], ...]
 
 
 class NodeStatus(Enum):
@@ -67,9 +73,6 @@ class SearchNode:
     status: NodeStatus = NodeStatus.OPEN
     label: EdgeLabel = EdgeLabel()
     children: list["SearchNode"] = field(default_factory=list)
-    # the triangular bindings the step to this node made, renamed apart
-    # from the clause; solutions() composes them down each path
-    bindings: tuple[tuple[Variable, Term], ...] = ()
     # lowest generation a clause renamed to expand this node may take
     floor: int = 1
 
@@ -105,6 +108,7 @@ class SearchTree:
     root: SearchNode
     truncated: bool
     query_vars: tuple[Variable, ...]
+    answers: list[Answer]  # one per success leaf, in depth-first order
 
 
 @dataclass(frozen=True)
@@ -207,15 +211,15 @@ def _compare_holds(g: Compare) -> bool:
     return _COMPARE[g.op](g.lhs.value, g.rhs.value)
 
 
-def apply_cut(path: list[tuple[SearchNode, int]], depth: int) -> None:
-    """Prune unexplored branches from the node at `depth` down.
+def apply_cut(path: list[tuple[SearchNode, int]]) -> None:
+    """Prune unexplored branches from the cut's target down.
 
-    `path` holds (node, index-of-active-child) pairs from the root down
-    to the parent of the cut, so `path[depth]` is the cut's target. At
-    each entry from there on, every sibling after the active child that
-    is still open becomes Pruned. Already-failed siblings keep their x.
+    `path` holds (node, index-of-active-child) pairs from the cut's
+    target down to the parent of the cut. At each entry, every sibling
+    after the active child that is still open becomes Pruned.
+    Already-failed siblings keep their x.
     """
-    for node, index in path[depth:]:
+    for node, index in path:
         for child in node.children[index + 1:]:
             if child.status is NodeStatus.OPEN:
                 child.status = NodeStatus.PRUNED
@@ -226,14 +230,23 @@ class _Frame:
     node: SearchNode
     # the names the node put on the path: those it shows and no ancestor does
     added: set[str]
+    # the bindings of each child's step, parallel to node.children
+    steps: list[Step]
     index: int = -1
 
 
 class _Builder:
-    def __init__(self, program: Program, limits: Limits, options: EngineOptions):
+    def __init__(self, program: Program, limits: Limits, options: EngineOptions,
+                 query_vars: tuple[Variable, ...] = ()):
         self.program = program
         self.limits = limits
         self.options = options
+        self.query_vars = query_vars
+        self.answers: list[Answer] = []
+        # the bindings of the steps from the root to the node in hand; a
+        # variable bound on a path is gone from the goals below it, so no
+        # path binds one twice, and taking a step's out deletes its keys
+        self.env: dict[Variable, Term] = {}
         # the names the nodes on the DFS path show; each name belongs to
         # the frame of the topmost node that shows it, and leaves with it
         self.path: set[str] = set()
@@ -242,14 +255,19 @@ class _Builder:
 
     def run(self, root: SearchNode) -> None:
         frames: list[_Frame] = []
+        env = self.env
         self._visit(root, frames)
         while frames:
             f = frames[-1]
+            if f.index >= 0:  # back from a child: its step leaves the env
+                for v, _ in f.steps[f.index]:
+                    del env[v]
             f.index += 1
             if f.index >= len(f.node.children):
                 frames.pop()
                 self.path -= f.added
                 continue
+            env.update(f.steps[f.index])
             child = f.node.children[f.index]
             if child.status is NodeStatus.OPEN:
                 self._visit(child, frames)
@@ -257,6 +275,7 @@ class _Builder:
     def _visit(self, node: SearchNode, frames: list[_Frame]) -> None:
         if not node.goals:
             node.status = NodeStatus.SUCCESS
+            self._answer(frames)
             return
         if len(frames) > self.limits.max_depth or self.node_count >= self.limits.max_nodes:
             node.status = NodeStatus.TRUNCATED
@@ -264,19 +283,32 @@ class _Builder:
             return
         added = _names_of(node.goals, node.label) - self.path
         self.path |= added
-        node.children = self.expand(node, frames)
+        node.children, steps = self.expand(node, frames)
         self.node_count += len(node.children)
-        frames.append(_Frame(node, added))
+        frames.append(_Frame(node, added, steps))
+
+    def _answer(self, frames: list[_Frame]) -> None:
+        """Read the answer off the success leaf that `frames` lead to."""
+        resolved: dict[Variable, Term] = {}
+        qvars = self.query_vars
+        values = [resolve(v, self.env, resolved) for v in qvars]
+        # a query variable left unbound is not an answer binding
+        self.answers.append(Answer(
+            tuple((v, t) for v, t in zip(qvars, values) if t is not v),
+            tuple([f.index for f in frames]),
+            tuple(v for v, t in zip(qvars, values) if t is v)))
 
     # -- expansion ------------------------------------------------------
 
-    def expand(self, node: SearchNode,
-               frames: list[_Frame]) -> list[SearchNode]:
-        """Children of `node`; `frames` is the path from the root to its
-        parent, so the node's depth is len(frames)."""
+    def expand(self, node: SearchNode, frames: list[_Frame]
+               ) -> tuple[list[SearchNode], list[Step]]:
+        """Children of `node`, and the bindings of each child's step;
+        `frames` is the path from the root to its parent, so the node's
+        depth is len(frames)."""
         g, rest = node.goals[0], node.goals[1:]
         depth = len(frames)
         children: list[SearchNode]
+        steps: list[Step] = []  # empty: no child's step binds
 
         if isinstance(g, Call):
             key = indicator(g.term)
@@ -298,17 +330,19 @@ class _Builder:
                     keys = c.head_keys
                     for i, k in bound:
                         if keys[i] not in (None, k):
-                            children.append(_fail_leaf())
+                            child, step = _fail_leaf(), ()
                             break
                     else:
-                        children.append(
-                            self._clause_child(node, g, rest, c, depth))
+                        child, step = self._clause_child(node, g, rest, c,
+                                                         depth)
+                    children.append(child)
+                    steps.append(step)
         elif isinstance(g, TrueGoal):
             children = [self._plain_child(node, rest)]
         elif isinstance(g, FailGoal):
             children = [_fail_leaf()]
         elif isinstance(g, Cut):
-            apply_cut([(f.node, f.index) for f in frames[g.depth or 0:]], 0)
+            apply_cut([(f.node, f.index) for f in frames[g.depth or 0:]])
             children = [self._plain_child(node, rest)]
         elif isinstance(g, Compare):
             children = ([self._plain_child(node, rest)]
@@ -323,13 +357,15 @@ class _Builder:
                         self._plain_child(node, rest)]
         else:
             raise TypeError(f"cannot expand goal {g!r}")
-        return children
+        return children, steps or [()] * len(children)
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
         return SearchNode(goals, floor=node.floor)
 
     def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
-                      clause, depth: int) -> SearchNode:
+                      clause, depth: int) -> tuple[SearchNode, Step]:
+        """The child for `clause`, and the triangular bindings its step
+        made, renamed apart from the clause."""
         if clause.variables:
             fresh, floor = rename_clause(clause, self.path, node.floor,
                                          self.options.rename)
@@ -337,21 +373,20 @@ class _Builder:
             fresh, floor = {}, node.floor
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
-            return _fail_leaf()
+            return _fail_leaf(), ()
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
         goals = _rewrite(clause.body + rest, depth, sigma, memo)
         # the label raises on a cyclic value of a shown variable; one
         # that only anonymous variables reach raises at a success leaf
-        # that needs it, since the step keeps the triangular bindings,
-        # renamed apart from the clause, and solutions() resolves them
+        # that needs it, where the step's bindings are resolved
         label = EdgeLabel(tuple((v, resolve(v, sigma, memo))
                                 for v in variables_of(call.term)
                                 if v in sigma and not v.is_anonymous))
         renamed: dict[Variable, Term] = {}
         bindings = tuple((v, resolve(t, fresh, renamed))
                          for v, t in sigma.items() if v not in fresh)
-        return SearchNode(goals, label=label, bindings=bindings, floor=floor)
+        return SearchNode(goals, label=label, floor=floor), bindings
 
 
 def build_tree(program: Program, query: GoalSeq,
@@ -364,63 +399,22 @@ def build_tree(program: Program, query: GoalSeq,
     options = options or EngineOptions()
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
     root = SearchNode(_rewrite(query, 0, {}, {}))
-    builder = _Builder(program, limits, options)
+    builder = _Builder(program, limits, options, qvars)
     builder.run(root)
-    return SearchTree(root, builder.truncated, qvars)
+    return SearchTree(root, builder.truncated, qvars, builder.answers)
 
 
 def expand(node: SearchNode, program: Program,
-           options: EngineOptions | None = None) -> list[SearchNode]:
-    """One expansion step on its own, mainly for poking at the rules."""
+           options: EngineOptions | None = None
+           ) -> tuple[list[SearchNode], list[Step]]:
+    """One expansion step on its own, mainly for poking at the rules: the
+    node's children, and the bindings each child's step made."""
     builder = _Builder(program, Limits(), options or EngineOptions())
     builder.path = _names_of(node.goals, node.label)
-    node.children = builder.expand(node, [])
-    return node.children
+    node.children, steps = builder.expand(node, [])
+    return node.children, steps
 
 
 def solutions(tree: SearchTree) -> list[Answer]:
-    """Success-leaf answers in depth-first (left-to-right) order.
-
-    The walk keeps the bindings of the edges from the root to the node in
-    hand in one dict, and resolves the query variables against it at each
-    success leaf. A node's bindings go in on the way down, and a marker
-    under its children on the stack takes them out on the way back up. A
-    variable bound on a path is gone from the goals below, so no path
-    binds one twice, and taking them out is deleting their keys.
-    """
-    qvars = tree.query_vars
-    out: list[Answer] = []
-    env: dict[Variable, Term] = {}
-    path: list[int] = []  # child indices from the root to the node in hand
-    # (node, depth, index among its siblings), or (None, 0, bindings to drop)
-    stack: list = [(tree.root, 0, 0)]
-    while stack:
-        node, depth, index = stack.pop()
-        if node is None:
-            for v, _ in index:
-                del env[v]
-            continue
-        if depth:
-            del path[depth - 1:]
-            path.append(index)
-        bindings = node.bindings
-        env.update(bindings)
-        if node.status is NodeStatus.SUCCESS:
-            resolved: dict[Variable, Term] = {}
-            values = [resolve(v, env, resolved) for v in qvars]
-            # a query variable left unbound is not an answer binding
-            out.append(Answer(
-                tuple((v, t) for v, t in zip(qvars, values) if t is not v),
-                tuple(path),
-                tuple(v for v, t in zip(qvars, values) if t is v)))
-            for v, _ in bindings:
-                del env[v]
-            continue
-        if bindings:
-            stack.append((None, 0, bindings))
-        children = node.children
-        for i in range(len(children) - 1, -1, -1):
-            child = children[i]
-            if child.children or child.status is NodeStatus.SUCCESS:
-                stack.append((child, depth + 1, i))
-    return out
+    """Success-leaf answers in depth-first (left-to-right) order."""
+    return tree.answers

@@ -126,6 +126,18 @@ def test_cyclic_answer_is_an_error(tmp_path):
     assert err.startswith("error: cyclic term")
 
 
+def test_a_cyclic_value_only_an_answer_reaches_is_an_error(tmp_path):
+    # no edge label shows the anonymous variable bound inside its own
+    # value; the answer at the success leaf, Y = f(_), needs it
+    db = tmp_path / "eq.pl"
+    db.write_text("p(f(_)).\neq(A, A).\n", encoding="utf-8")
+    code, out, err = invoke(RunConfig(db=str(db), query="p(Y), eq(Y, f(Y))"))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: cyclic term")
+    assert err.count("\n") == 1
+
+
 def test_unifying_a_variable_with_its_own_image_terminates(tmp_path):
     db = tmp_path / "eq.pl"
     db.write_text("eq(A,A).\n", encoding="utf-8")

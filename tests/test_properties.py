@@ -10,17 +10,17 @@ without unifying must not unify with the call. The reader's pattern
 tokenizer must agree with the character loop it replaced. expand() on
 one clause, renamed through the unifier's starting bindings, must agree
 with renaming a copy of the clause first. On generated programs with
-variables, the answers solutions() resolves at the success leaves must
+variables, the answers the build resolves at the success leaves must
 equal those of an answer kept on every node and mapped through each
-step's unifier, and two query variables must print as aliases exactly
-when they share one unbound value, and at each clause tried the
-builder's path set must hold exactly the names shown from the root
-down to the node it expands. On propositional programs with cut,
-`;` and `\\+`, the solutions of the built tree must be as many as a
-generator solver over goal lists finds.
+step's unifier, a cyclic one raising in both, and two query variables
+must print as aliases exactly when they share one unbound value, and at
+each clause tried the builder's path set must hold exactly the names
+shown from the root down to the node it expands. On propositional
+programs with cut, `;` and `\\+`, the solutions of the built tree must
+be as many as a generator solver over goal lists finds.
 """
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from unittest import mock
 
 import pytest
@@ -248,8 +248,8 @@ def test_a_head_key_clash_means_no_unifier(call_args, head_args):
     head = Compound("p", tuple(head_args[:n]))
     with mock.patch.object(engine, "unify", wraps=unify) as tried:
         try:
-            (child,) = expand(SearchNode((Call(call),)),
-                              Program([Clause(head)]))
+            (child,), _ = expand(SearchNode((Call(call),)),
+                                 Program([Clause(head)]))
         except CyclicTermError:  # met after unifying
             pass
     if not tried.called:
@@ -485,14 +485,15 @@ def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
     node = SearchNode((Call(call),), floor=floor)
     want = copying_child(clause, call, floor, style)
     try:
-        (child,) = expand(node, Program([clause]), EngineOptions(rename=style))
+        (child,), (step,) = expand(node, Program([clause]),
+                                   EngineOptions(rename=style))
     except CyclicTermError as e:
         assert str(e) == want
         return
     if child.status is NodeStatus.FAIL:
         assert want is None
         return
-    bindings = resolved_bindings(dict(child.bindings), call)
+    bindings = resolved_bindings(dict(step), call)
     assert (seq_text(child.goals), child.label.lines(), bindings,
             child.floor) == want
 
@@ -530,34 +531,58 @@ var_queries = st.lists(st.one_of(
     min_size=1, max_size=3).map(tuple)
 
 
+@dataclass
+class Caught:
+    """What the builder made while it ran: the root, the query variables,
+    the most general unifier of each clause child's step (None for a
+    clash), and the call and unifier of a step whose goals or edge label
+    raised."""
+    root: SearchNode = None
+    query_vars: tuple = ()
+    mgus: dict = field(default_factory=dict)
+    raised_at: tuple = None
+
+
 def build_with_mgus(program, query, limits):
-    """The tree, and the most general unifier of each clause child's step
-    (None for a clash), caught as the builder makes them."""
-    mgus, made = {}, []
+    """The tree, or the CyclicTermError the build raised, and what the
+    builder made up to then."""
+    caught, made = Caught(), []
     real_unify, real_child = engine.unify, engine._Builder._clause_child
+    real_run = engine._Builder.run
 
     def unify_(*args):
         made.append(real_unify(*args))
         return made[-1]
 
-    def clause_child(self, *args):
-        child = real_child(self, *args)
-        mgus[child] = made.pop()
-        return child
+    def clause_child(self, node, call, *args):
+        try:
+            child, step = real_child(self, node, call, *args)
+        except CyclicTermError:
+            caught.raised_at = (call.term, made.pop())
+            raise
+        caught.mgus[child] = made.pop()
+        return child, step
+
+    def run(self, root):
+        caught.root, caught.query_vars = root, self.query_vars
+        return real_run(self, root)
 
     with mock.patch.object(engine, "unify", unify_), \
-            mock.patch.object(engine._Builder, "_clause_child", clause_child):
-        tree = build_tree(program, query, limits)
-    return tree, mgus
+            mock.patch.object(engine._Builder, "_clause_child", clause_child), \
+            mock.patch.object(engine._Builder, "run", run):
+        try:
+            return build_tree(program, query, limits), caught
+        except CyclicTermError as e:
+            return e, caught
 
 
-def answers_by_mapping(tree, mgus):
-    """(bindings, path) of each success leaf, from an answer kept on every
-    node: a clause child maps its parent's through its step's unifier. A
-    cyclic image is kept as the error and raised at a success leaf."""
-    qvars = tree.query_vars
+def answers_by_mapping(root, qvars, mgus):
+    """(bindings, path) of each success leaf under `root`, from an answer
+    kept on every node: a clause child maps its parent's through its
+    step's unifier. A cyclic image is kept as the error and raised at a
+    success leaf."""
     out = []
-    stack = [(tree.root, qvars, ())]
+    stack = [(root, qvars, ())]
     while stack:
         node, answer, path = stack.pop()
         if node.status is NodeStatus.SUCCESS:
@@ -583,19 +608,30 @@ def answers_by_mapping(tree, mgus):
                   Clause(Compound("p", (CX, CX)))]),
          (Call(Compound("q", (CALL_POOL[0],))),
           Call(Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)))))))
+# the success leaf raises: X = f(_), and only the anonymous _ is bound
+# inside its own value, so no edge label shows it
+@example(Program([Clause(Compound("q", (Compound("f", (CLAUSE_POOL[2],)),))),
+                  Clause(Compound("p", (CX, CX)))]),
+         (Call(Compound("q", (CALL_POOL[0],))),
+          Call(Compound("p", (CALL_POOL[0], Compound("f", (CALL_POOL[0],)))))))
 def test_answers_resolved_at_the_leaves_agree_with_a_per_node_map(
         program, query):
-    try:
-        tree, mgus = build_with_mgus(program, query,
-                                     Limits(max_depth=8, max_nodes=400))
-    except CyclicTermError:
-        return  # a shown variable's value: the build raised, as it should
-    try:
-        want = answers_by_mapping(tree, mgus)
-    except CyclicTermError:
-        with pytest.raises(CyclicTermError):
-            solutions(tree)
+    tree, caught = build_with_mgus(program, query,
+                                   Limits(max_depth=8, max_nodes=400))
+    if isinstance(tree, CyclicTermError):
+        if caught.raised_at is not None:
+            # the step's goals or edge label raised: a variable of the
+            # call reaches a cycle of its unifier
+            call, sigma = caught.raised_at
+            assert isinstance(resolved_bindings(sigma, call), str)
+        else:
+            # a success leaf raised: over the part of the tree built so
+            # far, whose last success leaf is that one, the map raises too
+            with pytest.raises(CyclicTermError):
+                answers_by_mapping(caught.root, caught.query_vars,
+                                   caught.mgus)
         return
+    want = answers_by_mapping(tree.root, tree.query_vars, caught.mgus)
     assert [(a.bindings, a.path) for a in solutions(tree)] == want
 
 

@@ -196,7 +196,7 @@ def shown_strings(view):
     return out
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 4: the drawing loses [perm([c],T''')] and H'''''=c"))
 def test_perm_3_draws_every_goal_list_and_label():
     tree = build((DB / "perm.pl").read_text(), "perm([a,b,c],P)")
