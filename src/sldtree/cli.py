@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
-from .engine import Answer, EngineOptions, Limits, build_tree, solutions
+from .engine import (Answer, EngineOptions, Limits, SearchTree,
+                     build_tree, solutions)
 from .errors import PrologError
 from .fixtures import FIXTURES, fixture_text
 from .reader import parse_program, parse_query
@@ -50,6 +51,18 @@ def _answers_section(answers: list[Answer]) -> str:
     if not answers:
         return "false.\n"
     return "\n\n".join(_answer_block(a) for a in answers) + "\n"
+
+
+# the warning's name for each Limits field
+_LIMIT_NAMES = {"max_depth": "depth", "max_nodes": "node"}
+
+
+def _tripped_text(tree: SearchTree, limits: Limits) -> str:
+    """The limits that truncated `tree`, with their values: "the depth
+    limit (500)", "the depth limit (20) and the node limit (100)"."""
+    return " and ".join(
+        f"the {_LIMIT_NAMES[name]} limit ({getattr(limits, name)})"
+        for name in tree.tripped)
 
 
 def _load_db(source: str) -> str:
@@ -117,7 +130,8 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
     out.write(answers_text)
 
     if tree.truncated:
-        print("warning: tree truncated by depth/node limits", file=err)
+        print(f"warning: tree truncated by {_tripped_text(tree, cfg.limits)}",
+              file=err)
         return EXIT_TRUNCATED
     return EXIT_OK if answers else EXIT_NO_ANSWERS
 

@@ -6,8 +6,13 @@ away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
 Bindings are plain dicts in triangular form, as unify() returns them.
-A step's goals come from one walk, _rewrite(), which resolves their
-terms through the step's bindings and scopes their unowned cuts.
+A clause child costs one walk of its terms: _rewrite() resolves its
+goals through the step's unifier and scopes their unowned cuts, its edge
+label is resolved through the same unifier and memo, and that walk
+collects the names the child shows, which go on the path when it is
+visited. Only the root's names come from a walk of their own. What
+depends only on the call (its argument keys, its shown variables) is
+found once per node, not once per clause.
 
 Answers are resolved at the success leaves, in the build's own walk.
 The bindings a clause child's step made, renamed apart from the clause,
@@ -26,13 +31,17 @@ own target prunes nothing.
 
 A clause whose head clashes with the call at a top-level argument (see
 kb.arg_keys) becomes a failure leaf without renaming or unification.
+
+The build makes no reference cycles, so the cyclic garbage collector is
+paused while it runs.
 """
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count
+from itertools import chain, count, islice
 from string import ascii_uppercase
 
 from .errors import InstantiationError, UnknownPredicateError
@@ -106,9 +115,14 @@ class EngineOptions:
 @dataclass
 class SearchTree:
     root: SearchNode
-    truncated: bool
     query_vars: tuple[Variable, ...]
     answers: list[Answer]  # one per success leaf, in depth-first order
+    # the Limits fields that truncated a node, of "max_depth", "max_nodes"
+    tripped: tuple[str, ...] = ()
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.tripped)
 
 
 @dataclass(frozen=True)
@@ -167,30 +181,34 @@ def _sharing_text(bindings: tuple[tuple[Variable, Term], ...],
 
 def _rewrite(goals: GoalSeq, depth: int | None,
              bindings: dict[Variable, Term],
-             memo: dict[Variable, Term]) -> GoalSeq:
+             memo: dict[Variable, Term],
+             names: set[str] | None = None) -> GoalSeq:
     """goals with their terms resolved through the triangular `bindings`
-    (see unify.resolve, which `memo` serves) and each unowned cut scoped
-    to `depth`. A negation keeps its cuts unowned until it is expanded."""
+    (see unify.resolve, which `memo` and `names` serve) and each unowned
+    cut scoped to `depth`. A negation keeps its cuts unowned until it is
+    expanded."""
     out = []
     for g in goals:
         if isinstance(g, Call):
-            g = Call(resolve(g.term, bindings, memo))
+            g = Call(resolve(g.term, bindings, memo, names))
         elif isinstance(g, Compare):
-            g = Compare(g.op, resolve(g.lhs, bindings, memo),
-                        resolve(g.rhs, bindings, memo))
+            g = Compare(g.op, resolve(g.lhs, bindings, memo, names),
+                        resolve(g.rhs, bindings, memo, names))
         elif isinstance(g, Cut) and g.depth is None:
             g = Cut(depth)
         elif isinstance(g, Disjunction):
-            g = Disjunction(_rewrite(g.left, depth, bindings, memo),
-                            _rewrite(g.right, depth, bindings, memo))
+            g = Disjunction(_rewrite(g.left, depth, bindings, memo, names),
+                            _rewrite(g.right, depth, bindings, memo, names))
         elif isinstance(g, Negation):
-            g = Negation(_rewrite(g.inner, None, bindings, memo))
+            g = Negation(_rewrite(g.inner, None, bindings, memo, names))
         out.append(g)
     return tuple(out)
 
 
 def _names_of(goals: GoalSeq, label: EdgeLabel) -> set[str]:
-    """The names a node shows in its goals and its edge label."""
+    """The names a node shows in its goals and its edge label. The build
+    takes the root's from here; a clause child's come from the walk that
+    rewrites its goals (see _Builder._clause_child)."""
     return {v.name for v in goal_variables((*goals, *chain(*label.bindings)))
             if not v.is_anonymous}
 
@@ -227,11 +245,17 @@ def apply_cut(path: list[tuple[SearchNode, int]]) -> None:
 
 @dataclass
 class _Frame:
+    """A node on the DFS path, and what the builder keeps for each of its
+    children, parallel to node.children: the bindings of the child's
+    step, and the names the child shows. A clause child's names are
+    collected as its goals are rewritten; a plain child (of true, '!',
+    ';', '\\+' or a comparison) has None, as its goals show no variable
+    that its parent does not show."""
     node: SearchNode
     # the names the node put on the path: those it shows and no ancestor does
     added: set[str]
-    # the bindings of each child's step, parallel to node.children
     steps: list[Step]
+    names: list[set[str] | None]
     index: int = -1
 
 
@@ -251,12 +275,13 @@ class _Builder:
         # the frame of the topmost node that shows it, and leaves with it
         self.path: set[str] = set()
         self.node_count = 1  # the root
-        self.truncated = False
+        # whether a node was truncated by the depth, or the node, limit
+        self.deep = self.full = False
 
     def run(self, root: SearchNode) -> None:
         frames: list[_Frame] = []
         env = self.env
-        self._visit(root, frames)
+        self._visit(root, frames, _names_of(root.goals, root.label))
         while frames:
             f = frames[-1]
             if f.index >= 0:  # back from a child: its step leaves the env
@@ -270,22 +295,28 @@ class _Builder:
             env.update(f.steps[f.index])
             child = f.node.children[f.index]
             if child.status is NodeStatus.OPEN:
-                self._visit(child, frames)
+                self._visit(child, frames, f.names[f.index])
 
-    def _visit(self, node: SearchNode, frames: list[_Frame]) -> None:
+    def _visit(self, node: SearchNode, frames: list[_Frame],
+               names: set[str] | None) -> None:
+        """Expand `node`, unless it is a leaf, and push its frame;
+        `names` are those it shows, or None if its parent shows them."""
         if not node.goals:
             node.status = NodeStatus.SUCCESS
             self._answer(frames)
             return
-        if len(frames) > self.limits.max_depth or self.node_count >= self.limits.max_nodes:
+        deep = len(frames) > self.limits.max_depth
+        full = self.node_count >= self.limits.max_nodes
+        if deep or full:
             node.status = NodeStatus.TRUNCATED
-            self.truncated = True
+            self.deep |= deep
+            self.full |= full
             return
-        added = _names_of(node.goals, node.label) - self.path
+        added = names - self.path if names else set()
         self.path |= added
-        node.children, steps = self.expand(node, frames)
+        node.children, steps, child_names = self.expand(node, frames)
         self.node_count += len(node.children)
-        frames.append(_Frame(node, added, steps))
+        frames.append(_Frame(node, added, steps, child_names))
 
     def _answer(self, frames: list[_Frame]) -> None:
         """Read the answer off the success leaf that `frames` lead to."""
@@ -301,14 +332,18 @@ class _Builder:
     # -- expansion ------------------------------------------------------
 
     def expand(self, node: SearchNode, frames: list[_Frame]
-               ) -> tuple[list[SearchNode], list[Step]]:
-        """Children of `node`, and the bindings of each child's step;
+               ) -> tuple[list[SearchNode], list[Step],
+                          list[set[str] | None]]:
+        """Children of `node`, the bindings of each child's step, and the
+        names each child shows (None: only names its parent shows);
         `frames` is the path from the root to its parent, so the node's
-        depth is len(frames)."""
+        depth is len(frames). What depends only on the call, its argument
+        keys and its shown variables, is found once, not once per clause."""
         g, rest = node.goals[0], node.goals[1:]
         depth = len(frames)
         children: list[SearchNode]
         steps: list[Step] = []  # empty: no child's step binds
+        names: list[set[str] | None] = []
 
         if isinstance(g, Call):
             key = indicator(g.term)
@@ -325,18 +360,21 @@ class _Builder:
                 # key differs at that position does not unify with it
                 bound = [(i, k) for i, k in enumerate(arg_keys(g.term))
                          if k is not None]
+                shown = [v for v in variables_of(g.term)
+                         if not v.is_anonymous]
                 children = []
                 for c in self.program.clauses_for(key):
                     keys = c.head_keys
                     for i, k in bound:
                         if keys[i] not in (None, k):
-                            child, step = _fail_leaf(), ()
+                            child, step, seen = _fail_leaf(), (), None
                             break
                     else:
-                        child, step = self._clause_child(node, g, rest, c,
-                                                         depth)
+                        child, step, seen = self._clause_child(
+                            node, g, shown, rest, c, depth)
                     children.append(child)
                     steps.append(step)
+                    names.append(seen)
         elif isinstance(g, TrueGoal):
             children = [self._plain_child(node, rest)]
         elif isinstance(g, FailGoal):
@@ -357,15 +395,23 @@ class _Builder:
                         self._plain_child(node, rest)]
         else:
             raise TypeError(f"cannot expand goal {g!r}")
-        return children, steps or [()] * len(children)
+        return (children, steps or [()] * len(children),
+                names or [None] * len(children))
 
     def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
         return SearchNode(goals, floor=node.floor)
 
-    def _clause_child(self, node: SearchNode, call: Call, rest: GoalSeq,
-                      clause, depth: int) -> tuple[SearchNode, Step]:
-        """The child for `clause`, and the triangular bindings its step
-        made, renamed apart from the clause."""
+    def _clause_child(self, node: SearchNode, call: Call,
+                      shown: list[Variable], rest: GoalSeq, clause,
+                      depth: int) -> tuple[SearchNode, Step, set[str] | None]:
+        """The child for `clause`, the triangular bindings its step made,
+        renamed apart from the clause, and the names the child shows.
+
+        `shown` are the call's named variables. One map, the unifier, and
+        one walk: the goals and the edge label are resolved through it
+        with one memo, and that walk collects the names of the variables
+        it puts into them. A step's binding whose value is ground is kept
+        as it is; the others are resolved through the renaming."""
         if clause.variables:
             fresh, floor = rename_clause(clause, self.path, node.floor,
                                          self.options.rename)
@@ -373,20 +419,25 @@ class _Builder:
             fresh, floor = {}, node.floor
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
-            return _fail_leaf(), ()
+            return _fail_leaf(), (), None
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
-        goals = _rewrite(clause.body + rest, depth, sigma, memo)
+        names: set[str] = set()
+        goals = _rewrite(clause.body + rest, depth, sigma, memo, names)
         # the label raises on a cyclic value of a shown variable; one
         # that only anonymous variables reach raises at a success leaf
         # that needs it, where the step's bindings are resolved
-        label = EdgeLabel(tuple((v, resolve(v, sigma, memo))
-                                for v in variables_of(call.term)
-                                if v in sigma and not v.is_anonymous))
+        label = tuple([(v, resolve(v, sigma, memo, names))
+                       for v in shown if v in sigma])
+        names.update([v.name for v, _ in label])
+        names.discard("_")
+        # unify() copies `fresh` first, so the step's bindings follow it
         renamed: dict[Variable, Term] = {}
-        bindings = tuple((v, resolve(t, fresh, renamed))
-                         for v, t in sigma.items() if v not in fresh)
-        return SearchNode(goals, label=label, floor=floor), bindings
+        bindings = tuple([(v, t if t.ground else resolve(t, fresh, renamed))
+                          for v, t in islice(sigma.items(), len(fresh),
+                                             None)])
+        return (SearchNode(goals, label=EdgeLabel(label), floor=floor),
+                bindings, names)
 
 
 def build_tree(program: Program, query: GoalSeq,
@@ -400,8 +451,19 @@ def build_tree(program: Program, query: GoalSeq,
     qvars = tuple(v for v in goal_variables(query) if not v.is_anonymous)
     root = SearchNode(_rewrite(query, 0, {}, {}))
     builder = _Builder(program, limits, options, qvars)
-    builder.run(root)
-    return SearchTree(root, builder.truncated, qvars, builder.answers)
+    # the build makes no reference cycles, and a full collection of a
+    # big tree in the making walks every node of it, again and again
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        builder.run(root)
+    finally:
+        if collecting:
+            gc.enable()
+    tripped = tuple(name for name, hit in (("max_depth", builder.deep),
+                                           ("max_nodes", builder.full))
+                    if hit)
+    return SearchTree(root, qvars, builder.answers, tripped)
 
 
 def expand(node: SearchNode, program: Program,
@@ -411,7 +473,7 @@ def expand(node: SearchNode, program: Program,
     node's children, and the bindings each child's step made."""
     builder = _Builder(program, Limits(), options or EngineOptions())
     builder.path = _names_of(node.goals, node.label)
-    node.children, steps = builder.expand(node, [])
+    node.children, steps, _ = builder.expand(node, [])
     return node.children, steps
 
 

@@ -9,7 +9,6 @@ terminates on cyclic terms too.
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Container, Mapping
 from operator import is_not
 
@@ -19,7 +18,8 @@ from .terms import Compound, Term, Variable
 
 
 def resolve(t: Term, bindings: Mapping[Variable, Term],
-            resolved: dict[Variable, Term]) -> Term:
+            resolved: dict[Variable, Term],
+            names: set[str] | None = None) -> Term:
     """t with each variable bound in `bindings` replaced by its value.
 
     `bindings` are triangular: a value may name variables bound in turn.
@@ -28,7 +28,28 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
     variable chain is resolved once: `resolved` memoizes it for the walks
     that share it. A variable met inside its own value raises
     CyclicTermError and empties `resolved`.
+
+    The name of each unbound variable put into the result, anonymous
+    ones too, goes into `names`. A memoized value's names went in when
+    it was walked, so walks that share `resolved` share `names`: the
+    engine collects a step's shown names this way, in the walk that
+    rewrites its goals. A ground term, an unbound variable, and a
+    variable whose chain ends in one return before any stack is made.
     """
+    if t.ground:
+        return t
+    value = t
+    while type(value) is Variable and value in bindings:
+        value = bindings[value]
+    if type(value) is Variable:
+        if names is not None:
+            names.add(value.name)
+        return value
+    if value.ground:
+        return value
+    if names is None:
+        names = set()
+    name = names.add
     done: list[Term] = []
     # terms to resolve, and 1-tuples: rebuild this compound, or keep
     # this variable's value, from the top of `done`
@@ -49,12 +70,16 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
         elif isinstance(item, Compound):
             todo += (item,), *reversed(item.args)
         elif item not in bindings:
+            name(item.name)
             done.append(item)
         else:
             value = bindings[item]
             while isinstance(value, Variable) and value in bindings:
                 item, value = value, bindings[value]
-            if value.ground or not isinstance(value, Compound):
+            if value.ground:
+                done.append(value)
+            elif not isinstance(value, Compound):
+                name(value.name)
                 done.append(value)
             elif (memo := resolved.get(item)) is None:
                 resolved[item] = item  # open: its value is being walked
@@ -80,12 +105,26 @@ def unify(t1: Term, t2: Term,
     are not changed; a clause's renaming (see rename_clause) is passed
     this way, so the head is unified as if it were renamed, and the
     result holds them too.
+
+    Pairs are unified breadth first, in one loop over a list that grows
+    by the argument pairs of each compound pair decomposed. The argument
+    pairs of two compounds at the top start it, and the set of compound
+    pairs decomposed, which stops a cyclic term from looping, is made
+    only when a compound pair is met below them.
     """
-    bindings = dict(bindings or ())
-    decomposed: set[tuple[int, int]] = set()  # ids of compound pairs
-    queue: deque[tuple[Term, Term]] = deque([(t1, t2)])
-    while queue:
-        a, b = queue.popleft()
+    bindings = dict(bindings) if bindings else {}
+    while isinstance(t1, Variable) and t1 in bindings:
+        t1 = bindings[t1]
+    while isinstance(t2, Variable) and t2 in bindings:
+        t2 = bindings[t2]
+    if isinstance(t1, Compound) and isinstance(t2, Compound) and t1 is not t2:
+        if t1.functor != t2.functor or len(t1.args) != len(t2.args):
+            return None
+        pairs = list(zip(t1.args, t2.args))
+    else:
+        pairs = [(t1, t2)]
+    decomposed = None  # ids of compound pairs
+    for a, b in pairs:  # grows as it goes: a queue
         while isinstance(a, Variable) and a in bindings:
             a = bindings[a]
         while isinstance(b, Variable) and b in bindings:
@@ -99,9 +138,11 @@ def unify(t1: Term, t2: Term,
         elif isinstance(a, Compound) and isinstance(b, Compound):
             if a.functor != b.functor or len(a.args) != len(b.args):
                 return None
+            if decomposed is None:
+                decomposed = {(id(t1), id(t2))}
             if (id(a), id(b)) not in decomposed:
                 decomposed.add((id(a), id(b)))
-                queue.extend(zip(a.args, b.args))
+                pairs.extend(zip(a.args, b.args))
         elif a != b:
             return None
     return bindings

@@ -114,7 +114,22 @@ def test_truncation_warns_and_exits_3(tmp_path):
     assert code == EXIT_TRUNCATED
     assert "..." in out
     assert out.endswith("false.\n")
-    assert err == "warning: tree truncated by depth/node limits\n"
+    assert err == "warning: tree truncated by the depth limit (20)\n"
+
+
+@pytest.mark.parametrize("limits, tripped", [
+    (Limits(max_depth=100, max_nodes=30), "the node limit (30)"),
+    (Limits(max_depth=8, max_nodes=300),
+     "the depth limit (8) and the node limit (300)"),
+])
+def test_the_truncation_warning_names_each_limit_that_tripped(
+        tmp_path, limits, tripped):
+    db = tmp_path / "fork.pl"
+    db.write_text("p :- p.\np :- p.\n", encoding="utf-8")
+    code, _, err = invoke(RunConfig(db=str(db), query="p", limits=limits,
+                                    format="answers-only"))
+    assert code == EXIT_TRUNCATED
+    assert err == f"warning: tree truncated by {tripped}\n"
 
 
 def test_cyclic_answer_is_an_error(tmp_path):

@@ -238,6 +238,7 @@ def test_youngest_via_negation():
 def test_depth_limit_truncates_instead_of_erroring():
     tree = build("p :- p.", "p", limits=Limits(max_depth=10))
     assert tree.truncated
+    assert tree.tripped == ("max_depth",)
     assert leaf_statuses(tree) == [TRUNCATED]
     assert answers(tree) == []
 
@@ -245,6 +246,7 @@ def test_depth_limit_truncates_instead_of_erroring():
 def test_node_limit_truncates():
     tree = build("p :- p, p.", "p", limits=Limits(max_nodes=30))
     assert tree.truncated
+    assert tree.tripped == ("max_nodes",)
     assert TRUNCATED in leaf_statuses(tree)
 
 
@@ -252,6 +254,50 @@ def test_finite_trees_are_not_truncated():
     tree = build_tree(load_fixture("member"), parse_query("member(X, [a,b,c])"))
     assert not tree.truncated
     assert TRUNCATED not in leaf_statuses(tree)
+    assert tree.tripped == ()
+
+
+# -- the cyclic garbage collector ----------------------------------------------
+
+@pytest.fixture
+def collector_on():
+    """The collector on for the test, and as it was again after it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_the_build_pauses_the_collector_and_turns_it_back_on(
+        collector_on, monkeypatch):
+    seen = []
+    real_run = engine._Builder.run
+
+    def run(self, root):
+        seen.append(gc.isenabled())
+        return real_run(self, root)
+
+    monkeypatch.setattr(engine._Builder, "run", run)
+    build("p(a). p(b).", "p(X)")
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_a_build_that_raises_turns_the_collector_back_on(collector_on):
+    with pytest.raises(UnknownPredicateError):
+        build("p(a).", "p(X), q(X)",
+              options=EngineOptions(unknown="error"))
+    assert gc.isenabled()
+
+
+def test_the_build_leaves_the_collector_off_if_it_was_off(collector_on):
+    gc.disable()
+    build("p(a). p(b).", "p(X)")
+    assert not gc.isenabled()
+    with pytest.raises(UnknownPredicateError):
+        build("p(a).", "p(X), q(X)",
+              options=EngineOptions(unknown="error"))
+    assert not gc.isenabled()
 
 
 def test_limits_validate():

@@ -6,20 +6,25 @@ equivalent plain document is the oracle it must match byte for byte.
 The canvas search for a free connector column must agree with a
 column-by-column loop over free(). unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
-without unifying must not unify with the call. The reader's pattern
-tokenizer must agree with the character loop it replaced. expand() on
-one clause, renamed through the unifier's starting bindings, must agree
-with renaming a copy of the clause first. On generated programs with
+without unifying must not unify with the call. unify() must also bind
+the same variables to the same terms, in the same order, as its earlier
+queue-only form. The reader's pattern tokenizer must agree with the
+character loop it replaced. expand() on one clause, renamed through the
+unifier's starting bindings, must agree with renaming a copy of the
+clause first. On generated programs with
 variables, the answers the build resolves at the success leaves must
 equal those of an answer kept on every node and mapped through each
 step's unifier, a cyclic one raising in both, and two query variables
 must print as aliases exactly when they share one unbound value, and at
 each clause tried the builder's path set must hold exactly the names
-shown from the root down to the node it expands. On propositional
+shown from the root down to the node it expands, and the names it
+hands each node it visits must be those the node shows, as _names_of
+finds them, which it calls once, for the root. On propositional
 programs with cut, `;` and `\\+`, the solutions of the built tree must
 be as many as a generator solver over goal lists finds.
 """
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -255,6 +260,94 @@ def test_a_head_key_clash_means_no_unifier(call_args, head_args):
     if not tried.called:
         assert child.status is NodeStatus.FAIL
         assert unify(call, head) is None
+
+
+# -- unify against its queue-only form ---------------------------------------
+
+def queue_unify(t1, t2, bindings=None):
+    """unify() as it was before it took the top-level argument pairs in
+    one loop, kept as the oracle: every pair, the top one too, goes
+    through one queue."""
+    bindings = dict(bindings or ())
+    decomposed = set()
+    queue = deque([(t1, t2)])
+    while queue:
+        a, b = queue.popleft()
+        while isinstance(a, Variable) and a in bindings:
+            a = bindings[a]
+        while isinstance(b, Variable) and b in bindings:
+            b = bindings[b]
+        if a is b:
+            continue
+        if isinstance(a, Variable):
+            bindings[a] = b
+        elif isinstance(b, Variable):
+            bindings[b] = a
+        elif isinstance(a, Compound) and isinstance(b, Compound):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return None
+            if (id(a), id(b)) not in decomposed:
+                decomposed.add((id(a), id(b)))
+                queue.extend(zip(a.args, b.args))
+        elif a != b:
+            return None
+    return bindings
+
+
+# shared named variables, two distinct anonymous ones, and variables that
+# the starting bindings never bind, so no chain of variables loops
+U_BOUND = (Variable("X"), Variable("Y"), Variable("_"), Variable("_"))
+U_FREE = (Variable("A"), Variable("B"))
+u_terms = st.recursive(
+    st.sampled_from(U_BOUND + U_FREE + (Atom("a"), Atom("f"))),
+    lambda kids: st.one_of(
+        st.builds(lambda x: Compound("f", (x,)), kids),
+        st.builds(lambda x, y: Compound("g", (x, y)), kids, kids)),
+    max_leaves=5)
+# a value may hold its own variable: X = f(X) is a cyclic binding
+u_bindings = st.dictionaries(
+    st.sampled_from(U_BOUND),
+    st.one_of(st.sampled_from(U_FREE), u_terms.filter(
+        lambda t: not isinstance(t, Variable))),
+    max_size=3)
+
+
+@st.composite
+def u_sides(draw):
+    """One side of a pair: a term, or a compound whose arguments are
+    drawn, repeats and all, from a few terms, so that one pair of
+    compounds can come up again at the top."""
+    if draw(st.booleans()):
+        return draw(u_terms)
+    parts = draw(st.lists(u_terms, min_size=1, max_size=3))
+    args = draw(st.lists(st.sampled_from(parts), min_size=1, max_size=4))
+    return Compound(draw(st.sampled_from(("t", "g"))), tuple(args))
+
+
+def _same_bindings(got, want):
+    """None alike, or the same keys bound to the same objects in the
+    same order."""
+    if got is None or want is None:
+        return got is want
+    return (list(got) == list(want)
+            and all(got[v] is want[v] for v in want))
+
+
+G, H = Compound("g", (U_BOUND[0], U_FREE[0])), Compound("f", (U_BOUND[1],))
+
+
+@settings(max_examples=500, deadline=None)
+@given(u_sides(), u_sides(), u_bindings)
+@example(Compound("t", (G, G, H)), Compound("t", (H, H, G)), {})
+@example(U_BOUND[0], Compound("f", (U_BOUND[0],)),
+         {U_BOUND[0]: Compound("f", (U_BOUND[0],))})
+@example(Compound("t", (U_BOUND[2], U_BOUND[3], U_BOUND[2])),
+         Compound("t", (U_BOUND[3], U_FREE[0], H)), {U_BOUND[1]: H})
+def test_unify_agrees_with_its_queue_only_form(t1, t2, bindings):
+    start = dict(bindings)
+    assert _same_bindings(unify(t1, t2, bindings),
+                          queue_unify(t1, t2, bindings))
+    assert bindings == start
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -556,12 +649,12 @@ def build_with_mgus(program, query, limits):
 
     def clause_child(self, node, call, *args):
         try:
-            child, step = real_child(self, node, call, *args)
+            made_child = real_child(self, node, call, *args)
         except CyclicTermError:
             caught.raised_at = (call.term, made.pop())
             raise
-        caught.mgus[child] = made.pop()
-        return child, step
+        caught.mgus[made_child[0]] = made.pop()  # the child comes first
+        return made_child
 
     def run(self, root):
         caught.root, caught.query_vars = root, self.query_vars
@@ -723,6 +816,45 @@ def test_the_path_set_holds_the_names_shown_from_the_root(program, query):
         stack.extend((child, names) for child in node.children)
     for node, path in seen:
         assert path == want[node]
+
+
+def names_at_each_visit(program, query, limits):
+    """The tree, the number of _names_of calls, and (node, the names the
+    builder handed it, a copy of the path set) at each node visited."""
+    seen, calls = [], []
+    real_visit, real_names_of = engine._Builder._visit, engine._names_of
+
+    def visit(self, node, frames, names):
+        seen.append((node, names, set(self.path)))
+        return real_visit(self, node, frames, names)
+
+    def names_of(*args):
+        calls.append(args)
+        return real_names_of(*args)
+
+    with mock.patch.object(engine._Builder, "_visit", visit), \
+            mock.patch.object(engine, "_names_of", names_of):
+        tree = build_tree(program, query, limits)
+    return tree, len(calls), seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(var_programs, var_queries)
+def test_the_names_a_visited_node_is_handed_are_those_it_shows(
+        program, query):
+    try:
+        tree, calls, seen = names_at_each_visit(
+            program, query, Limits(max_depth=8, max_nodes=400))
+    except CyclicTermError:
+        return
+    assert calls == 1  # for the root
+    assert seen[0][0] is tree.root
+    for node, names, path in seen:
+        shown = engine._names_of(node.goals, node.label)
+        if names is None:  # a plain child shows only what its parent does
+            assert shown <= path
+        else:
+            assert names == shown
 
 
 # -- cut, ';' and '\+' against a generator solver ---------------------------
