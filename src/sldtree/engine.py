@@ -186,14 +186,19 @@ def _rewrite(goals: GoalSeq, depth: int | None,
     """goals with their terms resolved through the triangular `bindings`
     (see unify.resolve, which `memo` and `names` serve) and each unowned
     cut scoped to `depth`. A negation keeps its cuts unowned until it is
-    expanded."""
+    expanded. A goal whose terms all come back unchanged is kept, so a
+    child shares it with its parent."""
     out = []
     for g in goals:
         if isinstance(g, Call):
-            g = Call(resolve(g.term, bindings, memo, names))
+            term = resolve(g.term, bindings, memo, names)
+            if term is not g.term:
+                g = Call(term)
         elif isinstance(g, Compare):
-            g = Compare(g.op, resolve(g.lhs, bindings, memo, names),
-                        resolve(g.rhs, bindings, memo, names))
+            lhs = resolve(g.lhs, bindings, memo, names)
+            rhs = resolve(g.rhs, bindings, memo, names)
+            if lhs is not g.lhs or rhs is not g.rhs:
+                g = Compare(g.op, lhs, rhs)
         elif isinstance(g, Cut) and g.depth is None:
             g = Cut(depth)
         elif isinstance(g, Disjunction):

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Callable, Sequence, TypeVar
 
-from .engine import SearchNode, SearchTree
+from .engine import NodeStatus, SearchNode, SearchTree
 from .errors import PrologError
 from .kb import goal_text
 from .terms import term_text
 
 FORMAT_NAME = "sld-search-tree/1"
 
-_STATUSES = ("open", "success", "fail", "pruned", "truncated")
+_STATUSES = tuple(s.value for s in NodeStatus)
+
+# json.loads spends one level of the recursion limit, and ~130 B of C
+# stack, per level of nesting: 10,000 levels read a tree 3,000 deep.
+_JSON_NESTING = 10_000
 
 _N = TypeVar("_N")
 _R = TypeVar("_R")
@@ -52,21 +55,6 @@ class ViewEdge:
 class ViewTree:
     root: ViewNode
     truncated: bool = False
-
-
-@contextmanager
-def _stack_room(levels: int):
-    """json.loads and _parse_node recurse a few frames per nesting
-    level; a deep chain (a left-recursive program stopped only by the
-    depth limit) outgrows the default interpreter stack."""
-    need = 16 * levels + 1000
-    old = sys.getrecursionlimit()
-    if need > old:
-        sys.setrecursionlimit(need)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def fold(root: _N, kids: Callable[[_N], Sequence[_N]],
@@ -165,55 +153,66 @@ def serialize(tree: SearchTree | ViewTree) -> str:
     return "".join(out)
 
 
-def _expect(cond: bool, message: str, where: str | list[str]) -> None:
-    if not cond:
-        raise FormatError(message, "".join(where))
+def _expect(cond: bool, message: str, where: str | tuple) -> None:
+    if cond:
+        return
+    steps = []  # `where` as a link: its path is joined into text only here
+    while isinstance(where, tuple):
+        where, step, _ = where
+        steps.append(step if isinstance(step, str) else f".children[{step}]")
+    raise FormatError(message, "".join(reversed(steps)) if steps else where)
 
 
-def _parse_node(obj: object, path: list[str]) -> ViewNode:
-    # steps from the root, joined only for an error: a path string at
-    # every node would hold text in the square of the depth
-    _expect(isinstance(obj, dict), "node must be an object", path)
-    assert isinstance(obj, dict)
-    _expect(set(obj) == {"goals", "status", "children"},
-            "node needs exactly goals/status/children", path)
+def _check(link: tuple) -> list[tuple]:
+    """fold's kids for a document. An item is a link (parent, step, raw
+    object): the root, or child i with step i, whose edge is checked before
+    the node it leads to (step ".node"), so errors come in pre-order."""
+    _, step, obj = link
+    if isinstance(step, int):
+        _expect(isinstance(obj, dict) and obj.keys() == {"label", "node"},
+                "edge needs exactly label/node", link)
+        label = obj["label"]
+        _expect(isinstance(label, list), "label must be a list", link)
+        _expect(all(isinstance(p, list) and len(p) == 2
+                    and isinstance(p[0], str) and isinstance(p[1], str)
+                    for p in label),
+                "label entries are [name, term] string pairs", link)
+        link = (link, ".node", obj["node"])
+        obj = link[2]
+    _expect(isinstance(obj, dict), "node must be an object", link)
+    _expect(obj.keys() == {"goals", "status", "children"},
+            "node needs exactly goals/status/children", link)
     goals = obj["goals"]
     _expect(isinstance(goals, list) and all(isinstance(g, str) for g in goals),
-            "goals must be a list of strings", path)
-    status = obj["status"]
-    _expect(status in _STATUSES, f"unknown status {status!r}", path)
-    raw_children = obj["children"]
-    _expect(isinstance(raw_children, list), "children must be a list", path)
-    children = []
-    for i, edge in enumerate(raw_children):
-        path.append(f".children[{i}]")
-        _expect(isinstance(edge, dict) and set(edge) == {"label", "node"},
-                "edge needs exactly label/node", path)
-        label = edge["label"]
-        _expect(isinstance(label, list), "label must be a list", path)
-        pairs = []
-        for p in label:
-            _expect(isinstance(p, list) and len(p) == 2
-                    and all(isinstance(x, str) for x in p),
-                    "label entries are [name, term] string pairs", path)
-            pairs.append((p[0], p[1]))
-        path.append(".node")
-        children.append(ViewEdge(tuple(pairs), _parse_node(edge["node"], path)))
-        del path[-2:]
-    return ViewNode(tuple(goals), status, tuple(children))
+            "goals must be a list of strings", link)
+    _expect(obj["status"] in _STATUSES,
+            f"unknown status {obj['status']!r}", link)
+    _expect(isinstance(obj["children"], list), "children must be a list",
+            link)
+    return [(link, i, edge) for i, edge in enumerate(obj["children"])]
+
+
+def _view(link: tuple, edges: list[ViewEdge]) -> ViewNode | ViewEdge:
+    """fold's combine for a document, on items _check has passed."""
+    _, step, obj = link
+    node = obj if isinstance(step, str) else obj["node"]
+    view = ViewNode(tuple(node["goals"]), node["status"], tuple(edges))
+    return view if isinstance(step, str) else ViewEdge(
+        tuple(map(tuple, obj["label"])), view)
 
 
 def deserialize(text: str) -> ViewTree:
-    with _stack_room(text.count("{")):
-        return _deserialize(text)
-
-
-def _deserialize(text: str) -> ViewTree:
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, _JSON_NESTING))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"not well-formed: {e.msg}",
                           f"line {e.lineno}, column {e.colno}") from e
+    except RecursionError as e:
+        raise FormatError("nested too deeply", "document") from e
+    finally:
+        sys.setrecursionlimit(old)
     _expect(isinstance(doc, dict), "document must be an object", "document")
     _expect(set(doc) == {"format", "truncated", "root"},
             "document needs exactly format/truncated/root", "document")
@@ -221,4 +220,5 @@ def _deserialize(text: str) -> ViewTree:
             f"unsupported format {doc['format']!r}", "format")
     _expect(isinstance(doc["truncated"], bool),
             "truncated must be a boolean", "truncated")
-    return ViewTree(_parse_node(doc["root"], ["root"]), doc["truncated"])
+    root = fold((None, "root", doc["root"]), _check, _view)
+    return ViewTree(root, doc["truncated"])

@@ -98,6 +98,17 @@ def test_call_spawns_one_child_per_clause_in_source_order():
     assert [k.label.lines() for k in kids] == [["Animal=X"]] * 3
 
 
+def test_a_clause_child_shares_the_rest_goals_its_step_leaves_unchanged():
+    tree = build("p(1). q(1).", "p(X), q(Y), Y < 2, q(X), X < 2")
+    root = tree.root
+    (child,) = root.children
+    assert seq_text(child.goals) == "q(Y),Y < 2,q(1),1 < 2"
+    assert child.goals[0] is root.goals[1]
+    assert child.goals[1] is root.goals[2]
+    assert child.goals[2] is not root.goals[3]
+    assert child.goals[3] is not root.goals[4]
+
+
 def test_failed_head_unifications_stay_in_the_tree():
     tree = build("p(a). p(b). p(c).", "p(b)")
     assert leaf_statuses(tree) == [FAIL, SUCCESS, FAIL]

@@ -3,6 +3,8 @@ the tokenizer.
 
 serialize() writes the canonical document by hand; json.dumps of the
 equivalent plain document is the oracle it must match byte for byte.
+On documents with a few corruptions, deserialize() must report the
+error, its place and its message, that a recursive reader finds first.
 The canvas search for a free connector column must agree with a
 column-by-column loop over free(). unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
@@ -44,8 +46,8 @@ from sldtree.kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal,
                         seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
-from sldtree.serialize import (FORMAT_NAME, ViewEdge, ViewNode, ViewTree,
-                               deserialize, serialize)
+from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
+                               ViewTree, deserialize, serialize)
 from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
                            term_text, variables_of)
 from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
@@ -94,6 +96,86 @@ def test_serialize_prints_what_json_dumps_prints(view):
 @given(views)
 def test_deserialize_inverts_serialize(view):
     assert deserialize(serialize(view)) == view
+
+
+def _expect(cond, message, path):
+    if not cond:
+        raise FormatError(message, "".join(path))
+
+
+def reference_parse_node(obj, path):
+    """The recursive node reader deserialize() once used: each check in
+    document order, the first that fails reported at its path."""
+    _expect(isinstance(obj, dict), "node must be an object", path)
+    _expect(set(obj) == {"goals", "status", "children"},
+            "node needs exactly goals/status/children", path)
+    goals = obj["goals"]
+    _expect(isinstance(goals, list) and all(isinstance(g, str) for g in goals),
+            "goals must be a list of strings", path)
+    status = obj["status"]
+    _expect(status in STATUSES, f"unknown status {status!r}", path)
+    raw_children = obj["children"]
+    _expect(isinstance(raw_children, list), "children must be a list", path)
+    children = []
+    for i, edge in enumerate(raw_children):
+        path.append(f".children[{i}]")
+        _expect(isinstance(edge, dict) and set(edge) == {"label", "node"},
+                "edge needs exactly label/node", path)
+        label = edge["label"]
+        _expect(isinstance(label, list), "label must be a list", path)
+        pairs = []
+        for p in label:
+            _expect(isinstance(p, list) and len(p) == 2
+                    and all(isinstance(x, str) for x in p),
+                    "label entries are [name, term] string pairs", path)
+            pairs.append((p[0], p[1]))
+        path.append(".node")
+        children.append(ViewEdge(tuple(pairs),
+                                 reference_parse_node(edge["node"], path)))
+        del path[-2:]
+    return ViewNode(tuple(goals), status, tuple(children))
+
+
+# (objects it applies to, key, bad values): each makes one object invalid
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("node"), st.just("status"),
+              st.sampled_from(["maybe", "", 3, None, ["open"]])),
+    st.tuples(st.just("node"), st.just("goals"),
+              st.sampled_from(["p", None, {"p": 1}, [1], ["p", None]])),
+    st.tuples(st.just("node"), st.just("children"),
+              st.sampled_from(["", None, {}])),
+    st.tuples(st.sampled_from(["node", "edge"]), st.just("extra"),
+              st.just(1)),
+    st.tuples(st.just("edge"), st.just("label"),
+              st.sampled_from([[["X"]], [["X", 3]], [["X", "a", "b"]],
+                               [[1, "a"]], ["X"], "X=a", None])),
+    st.tuples(st.just("edge"), st.just("node"),
+              st.sampled_from([3, None, [], "p"])),
+)
+
+
+@settings(deadline=None)
+@given(views, st.lists(st.tuples(CORRUPTIONS, st.integers(0, 10**6)),
+                       min_size=1, max_size=3))
+def test_deserialize_reports_the_errors_the_recursive_reader_reports(
+        view, corruptions):
+    doc = reference_doc(view)
+    objects = {"node": [], "edge": []}
+    stack = [doc["root"]]
+    while stack:
+        node = stack.pop()
+        objects["node"].append(node)
+        objects["edge"].extend(node["children"])
+        stack.extend(e["node"] for e in reversed(node["children"]))
+    for (kind, key, value), k in corruptions:
+        pool = objects[kind] or objects["node"]
+        pool[k % len(pool)][key] = value
+    with pytest.raises(FormatError) as want:
+        reference_parse_node(doc["root"], ["root"])
+    with pytest.raises(FormatError) as got:
+        deserialize(json.dumps(doc))
+    assert (got.value.where, got.value.message) == (
+        want.value.where, want.value.message)
 
 
 writes = st.lists(st.tuples(st.integers(0, 3), st.integers(-12, 20),

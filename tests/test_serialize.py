@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sldtree
 from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
-from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
-                               ViewTree, deserialize, serialize, to_view)
+from sldtree.serialize import (_JSON_NESTING, FORMAT_NAME, FormatError,
+                               ViewEdge, ViewNode, ViewTree, deserialize,
+                               serialize, to_view)
 
 
 def fixture_tree(name):
@@ -63,11 +68,12 @@ def test_serialization_is_deterministic(fixture):
     assert serialize(fixture_tree(fixture)) == serialize(fixture_tree(fixture))
 
 
-@pytest.mark.xfail(sys.version_info[:2] == (3, 12), raises=RecursionError,
+@pytest.mark.xfail(sys.version_info[:2] == (3, 12), raises=FormatError,
                    strict=True,
-                   reason="3.12's C JSON decoder recurses past any limit on a "
-                          "500-deep document; ROADMAP item 7's iterative "
-                          "reader mends it")
+                   reason="3.12's C JSON decoder stops short of a 500-deep "
+                          "document whatever the recursion limit, and the "
+                          "reader reports it as nested too deeply; ROADMAP "
+                          "item 7's iterative reader mends it")
 def test_a_500_deep_chain_round_trips_with_the_recursion_limit_unchanged():
     tree = build_tree(parse_program("p :- p."), parse_query("p"),
                       limits=Limits(max_depth=500))
@@ -76,6 +82,28 @@ def test_a_500_deep_chain_round_trips_with_the_recursion_limit_unchanged():
     # documents, not views: == on a 500-deep view recurses by itself
     assert serialize(deserialize(doc)) == doc
     assert sys.getrecursionlimit() == limit
+
+
+def test_the_reader_lends_json_a_fixed_limit_and_never_lowers_the_callers(
+        monkeypatch):
+    seen = []
+    real_loads = json.loads
+
+    def loads(text):
+        seen.append(sys.getrecursionlimit())
+        return real_loads(text)
+
+    monkeypatch.setattr(json, "loads", loads)
+    doc = serialize(fixture_tree("animals"))
+    old = sys.getrecursionlimit()
+    try:
+        for limit in (1000, 4 * _JSON_NESTING):
+            sys.setrecursionlimit(limit)
+            assert serialize(deserialize(doc)) == doc
+            assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old)
+    assert seen == [_JSON_NESTING, 4 * _JSON_NESTING]
 
 
 def test_to_view_passes_views_through():
@@ -164,3 +192,50 @@ def test_rejects_missing_edge_keys():
 
 def test_format_name_constant():
     assert FORMAT_NAME == "sld-search-tree/1"
+
+
+def test_100000_nested_objects_are_a_format_error_not_a_crash():
+    # in a child process, so that a crash fails this test, not the run
+    script = ("from sldtree.serialize import FormatError, deserialize\n"
+              "try:\n"
+              "    deserialize('{\"a\": ' * 100_000 + '1' + '}' * 100_000)\n"
+              "except FormatError as e:\n"
+              "    print(e)\n")
+    src = str(Path(sldtree.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, "document: nested too deeply\n", "")
+
+
+def test_5000_nested_arrays_are_a_format_error():
+    # as deep as the limit allows, json.loads reads them, and a list is
+    # not a document; past it (3.12's C limit), they nest too deeply
+    err = reject("[" * 5000 + "]" * 5000)
+    assert err.where == "document"
+    assert err.message in ("document must be an object", "nested too deeply")
+
+
+def chain_text(depth):
+    """A `p :- p.` chain cut at `depth`, without indent: its canonical
+    text would cost the square of the depth."""
+    step = ('{"goals": ["p"], "status": "open", '
+            '"children": [{"label": [], "node": ')
+    return ('{"format": "sld-search-tree/1", "truncated": true, "root": '
+            + step * (depth + 1)
+            + '{"goals": ["p"], "status": "truncated", "children": []}'
+            + "}]}" * (depth + 1) + "}")
+
+
+def test_a_chain_nested_past_the_limit_is_an_error_and_restores_it():
+    assert serialize(deserialize(chain_text(3))) == serialize(
+        build_tree(parse_program("p :- p."), parse_query("p"),
+                   limits=Limits(max_depth=3)))
+    # a tree nests three levels a step
+    text = chain_text(_JSON_NESTING // 3)
+    limit = sys.getrecursionlimit()
+    err = reject(text)
+    assert (err.where, err.message) == ("document", "nested too deeply")
+    assert sys.getrecursionlimit() == limit
