@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Union
 
 from .terms import (Atom, Compound, Term, Variable, atom_text, indicator,
-                    is_callable, term_text, variables_of)
+                    is_callable, term_text, variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
@@ -134,23 +134,35 @@ def arg_keys(t: Term) -> tuple:
 
 def goal_text(g: Goal) -> str:
     """One goal, written the way the parser reads it."""
+    if type(g) is Call:  # the most common goal, written as its term
+        return write(g.term)
+    return write(g, _goal_pieces)
+
+
+def _goal_pieces(g: Goal) -> tuple:
+    """What goal_text writes for g, in order: strings, terms and goals."""
     if isinstance(g, Call):
-        return term_text(g.term)
+        return (g.term,)
     if isinstance(g, TrueGoal):
-        return "true"
+        return ("true",)
     if isinstance(g, FailGoal):
-        return "fail"
+        return ("fail",)
     if isinstance(g, Cut):
-        return "!"
+        return ("!",)
     if isinstance(g, Compare):
-        return f"{term_text(g.lhs)} {g.op} {term_text(g.rhs)}"
+        return (g.lhs, f" {g.op} ", g.rhs)
     if isinstance(g, Disjunction):
-        return f"({seq_text(g.left)};{seq_text(g.right)})"
+        return ("(", *_joined(g.left), ";", *_joined(g.right), ")")
     if isinstance(g, Negation):
         if len(g.inner) == 1 and isinstance(g.inner[0], Call):
-            return f"\\+ {goal_text(g.inner[0])}"
-        return f"\\+ ({seq_text(g.inner)})"
+            return ("\\+ ", g.inner[0])
+        return ("\\+ (", *_joined(g.inner), ")")
     raise TypeError(f"not a goal: {g!r}")
+
+
+def _joined(goals: GoalSeq) -> list:
+    """The goals with ',' between them."""
+    return [p for g in goals for p in (",", g)][1:]
 
 
 def seq_text(goals: GoalSeq) -> str:

@@ -19,7 +19,7 @@ budget is a soft target: a single over-wide leaf still renders whole.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import SearchTree
 from .serialize import ViewEdge, ViewNode, ViewTree, fold, to_view
@@ -40,12 +40,12 @@ class RenderOptions:
 
 @dataclass
 class _Block:
-    lines: list[str]
+    lines: list[str]  # never changed once the block is made
     anchor: int
+    width: int = field(init=False)
 
-    @property
-    def width(self) -> int:
-        return max((len(ln) for ln in self.lines), default=0)
+    def __post_init__(self) -> None:
+        self.width = max(map(len, self.lines), default=0)
 
     @property
     def height(self) -> int:

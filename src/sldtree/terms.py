@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Union
 
@@ -119,6 +120,7 @@ def variables_of(t: Term) -> list[Variable]:
 _PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
+@lru_cache(maxsize=4096)  # the names a program uses are few and recur
 def atom_text(name: str) -> str:
     """Quote an atom name unless it reads back as a plain atom."""
     if _PLAIN_ATOM.match(name) or name in ("[]", "!"):
@@ -129,17 +131,45 @@ def atom_text(name: str) -> str:
 
 def term_text(t: Term) -> str:
     """Render a term the way the parser accepts it, lists in sugar form."""
-    if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, Atom):
-        return atom_text(t.name)
-    if isinstance(t, Integer):
-        return str(t.value)
-    if t.functor == CONS and len(t.args) == 2:
-        items, tail = list_parts(t)
-        body = ",".join(term_text(i) for i in items)
-        if tail == EMPTY_LIST:
-            return f"[{body}]"
-        return f"[{body}|{term_text(tail)}]"
-    inner = ",".join(term_text(a) for a in t.args)
-    return f"{atom_text(t.functor)}({inner})"
+    return write(t)
+
+
+def write(root, pieces=None) -> str:
+    """The text of root, written on an explicit stack, so a term nested
+    any depth prints as a flat one does.
+
+    A term is written the way the parser reads it, lists in sugar form,
+    and a str as it is. Any other item is written as the items that
+    `pieces(item)` returns, in order: kb writes goals so.
+    """
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is str:
+            out.append(x)
+        elif tx is Atom:
+            out.append(atom_text(x.name))
+        elif tx is Variable:
+            out.append(x.name)
+        elif tx is Integer:
+            out.append(str(x.value))
+        elif tx is Compound:
+            items = x.args
+            if x.functor == CONS and len(items) == 2:
+                items, tail = list_parts(x)
+                out.append("[")
+                if tail == EMPTY_LIST:
+                    stack.append("]")
+                else:
+                    stack += "]", tail, "|"
+            else:
+                out.append(f"{atom_text(x.functor)}(")
+                stack.append(")")
+            for item in reversed(items[1:]):
+                stack += item, ","
+            stack.append(items[0])
+        else:
+            stack.extend(reversed(pieces(x)))
+    return "".join(out)

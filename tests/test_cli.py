@@ -176,26 +176,29 @@ def test_splitting_a_400_element_list_gives_401_answers():
     assert blocks[-1] == f"X = [{','.join(items)}], Y = []\n"
 
 
-def test_too_deep_input_is_an_error_not_no_answers():
+def test_a_query_nested_3000_deep_is_answered_not_an_error(tmp_path):
+    db = tmp_path / "p.pl"
+    db.write_text("p(_).\n", encoding="utf-8")
     query = "p(" + "f(" * 3000 + "a" + ")" * 3000 + ")"
-    code, out, err = invoke(RunConfig(db="romance", query=query))
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for fmt in ("ascii", "answers-only"):
+        code, out, err = invoke(RunConfig(db=str(db), query=query,
+                                          format=fmt))
+        assert (fmt, code, err) == (fmt, EXIT_OK, "")
+        assert out.endswith("true.\n")
 
 
-def test_an_answer_too_deep_to_print_is_an_error_not_no_answers(
-        tmp_path, capsys):
+def test_answers_nested_1200_deep_are_printed(tmp_path, capsys):
     db = tmp_path / "nat.pl"
     db.write_text("n(0).\nn(succ(X)) :- n(X).\n", encoding="utf-8")
     code = main(["--db", str(db), "--query", "n(X)",
                  "--format", "answers-only", "--max-depth", "1200"])
     captured = capsys.readouterr()
-    assert code == EXIT_ERROR
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert code == EXIT_TRUNCATED
+    blocks = captured.out.split("\n\n")
+    assert len(blocks) == 1201
+    assert blocks[0] == "X = 0"
+    assert blocks[-1] == "X = " + "succ(" * 1200 + "0" + ")" * 1200 + "\n"
+    assert captured.err == "warning: tree truncated by the depth limit (1200)\n"
 
 
 def test_list_fixtures():

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from sldtree.kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal,
@@ -193,3 +196,38 @@ def test_clause_text():
     prog = parse_program("add(succ(X),Y,succ(Z)) :- add(X,Y,Z).")
     assert clause_text(prog.clauses[0]) == "add(succ(X),Y,succ(Z)) :- add(X,Y,Z)."
     assert clause_text(parse_program("p(a).").clauses[0]) == "p(a)."
+
+
+# nested n deep: a term, and goal sequences in ';', '\\+' and 'not'
+NESTINGS = {
+    "term": lambda n: "p(" + "f(" * n + "a" + ")" * n + ")",
+    "disjunction": lambda n: "(a;" * n + "b" + ")" * n,
+    "negation": lambda n: "\\+ (" * n + "a,b" + ")" * n,
+    "not": lambda n: "not(" * n + "a" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_a_query_nested_100000_deep_reads_and_prints_back(shape):
+    query = want = NESTINGS[shape](100_000)
+    if shape == "not":  # printed as '\\+', a lone call without parentheses
+        want = "\\+ (" * 99_999 + "\\+ a" + ")" * 99_999
+    assert seq_text(parse_query(query)) == want
+
+
+def peak_of_parse_query(text: str) -> int:
+    """The peak of the bytes parse_query(text) holds while it runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_query(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", NESTINGS)
+def test_parse_query_peak_memory_is_linear_in_the_nesting(shape):
+    text = NESTINGS[shape]
+    ratio = peak_of_parse_query(text(10_000)) / peak_of_parse_query(text(5_000))
+    assert ratio <= 2.5
