@@ -10,9 +10,9 @@ A clause child costs one walk of its terms: _rewrite() resolves its
 goals through the step's unifier and scopes their unowned cuts, its edge
 label is resolved through the same unifier and memo, and that walk
 collects the names the child shows, which go on the path when it is
-visited. Only the root's names come from a walk of their own. What
-depends only on the call (its argument keys, its shown variables) is
-found once per node, not once per clause.
+visited. The root shows the query variables' names, found once with
+them. What depends only on the call (its argument keys, its shown
+variables) is found once per node, not once per clause.
 
 Answers are resolved at the success leaves, in the build's own walk.
 The bindings a clause child's step made, renamed apart from the clause,
@@ -186,36 +186,42 @@ def _rewrite(goals: GoalSeq, depth: int | None,
     """goals with their terms resolved through the triangular `bindings`
     (see unify.resolve, which `memo` and `names` serve) and each unowned
     cut scoped to `depth`. A negation keeps its cuts unowned until it is
-    expanded. A goal whose terms all come back unchanged is kept, so a
-    child shares it with its parent."""
-    out = []
-    for g in goals:
-        if isinstance(g, Call):
-            term = resolve(g.term, bindings, memo, names)
-            if term is not g.term:
-                g = Call(term)
-        elif isinstance(g, Compare):
-            lhs = resolve(g.lhs, bindings, memo, names)
-            rhs = resolve(g.rhs, bindings, memo, names)
-            if lhs is not g.lhs or rhs is not g.rhs:
-                g = Compare(g.op, lhs, rhs)
-        elif isinstance(g, Cut) and g.depth is None:
-            g = Cut(depth)
-        elif isinstance(g, Disjunction):
-            g = Disjunction(_rewrite(g.left, depth, bindings, memo, names),
-                            _rewrite(g.right, depth, bindings, memo, names))
-        elif isinstance(g, Negation):
-            g = Negation(_rewrite(g.inner, None, bindings, memo, names))
-        out.append(g)
-    return tuple(out)
-
-
-def _names_of(goals: GoalSeq, label: EdgeLabel) -> set[str]:
-    """The names a node shows in its goals and its edge label. The build
-    takes the root's from here; a clause child's come from the walk that
-    rewrites its goals (see _Builder._clause_child)."""
-    return {v.name for v in goal_variables((*goals, *chain(*label.bindings)))
-            if not v.is_anonymous}
+    expanded, and is kept whole when nothing in it can change: no
+    bindings, no names to collect. A goal whose terms all come back
+    unchanged is kept, so a child shares it with its parent."""
+    out: list = []
+    # per open ';' or '\+' goal: (it, the goals after it, depth, out)
+    stack: list = []
+    todo = iter(goals)
+    while True:
+        for g in todo:
+            if isinstance(g, Call):
+                term = resolve(g.term, bindings, memo, names)
+                if term is not g.term:
+                    g = Call(term)
+            elif isinstance(g, Compare):
+                lhs = resolve(g.lhs, bindings, memo, names)
+                rhs = resolve(g.rhs, bindings, memo, names)
+                if lhs is not g.lhs or rhs is not g.rhs:
+                    g = Compare(g.op, lhs, rhs)
+            elif isinstance(g, Cut) and g.depth is None:
+                g = Cut(depth)
+            elif isinstance(g, Disjunction):
+                stack.append((g, todo, depth, out))
+                todo, out = iter(g.left + g.right), []
+                break
+            elif isinstance(g, Negation) and (bindings or names is not None):
+                stack.append((g, todo, depth, out))
+                todo, depth, out = iter(g.inner), None, []
+                break
+            out.append(g)
+        else:  # the goals in hand ran out
+            if not stack:
+                return tuple(out)
+            g, todo, depth, outer = stack.pop()
+            seq, out = tuple(out), outer
+            out.append(Disjunction(seq[:len(g.left)], seq[len(g.left):])
+                       if isinstance(g, Disjunction) else Negation(seq))
 
 
 def _fail_leaf() -> SearchNode:
@@ -286,7 +292,7 @@ class _Builder:
     def run(self, root: SearchNode) -> None:
         frames: list[_Frame] = []
         env = self.env
-        self._visit(root, frames, _names_of(root.goals, root.label))
+        self._visit(root, frames, {v.name for v in self.query_vars})
         while frames:
             f = frames[-1]
             if f.index >= 0:  # back from a child: its step leaves the env
@@ -477,7 +483,8 @@ def expand(node: SearchNode, program: Program,
     """One expansion step on its own, mainly for poking at the rules: the
     node's children, and the bindings each child's step made."""
     builder = _Builder(program, Limits(), options or EngineOptions())
-    builder.path = _names_of(node.goals, node.label)
+    builder.path = {v.name for v in goal_variables(
+        (*node.goals, *chain(*node.label.bindings))) if not v.is_anonymous}
     node.children, steps, _ = builder.expand(node, [])
     return node.children, steps
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import (Atom, Compound, Term, Variable, atom_text, indicator,
-                    is_callable, term_text, variables_of, write)
+from .terms import (Atom, Compound, Term, Variable, indicator, is_callable,
+                    term_text, variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
@@ -206,5 +206,4 @@ __all__ = [
     "COMPARE_OPS", "Call", "Disjunction", "Negation", "Cut", "TrueGoal",
     "FailGoal", "Compare", "Goal", "GoalSeq", "Clause", "Program",
     "arg_keys", "goal_text", "seq_text", "goal_variables", "clause_text",
-    "atom_text",
 ]

@@ -143,9 +143,7 @@ def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
     start_rows = list(range(max(1, (height + 1 - len(lines)) // 2),
                             height - len(lines) + 2))
     if prefer_bottom:
-        start_rows = sorted(set(start_rows) | {max(1, r) for r in
-                            (height - len(lines), height - len(lines) + 1)},
-                            reverse=True)
+        start_rows.reverse()
     sides = (True, False) if prefer_left else (False, True)
     for start in start_rows:
         rows = range(start, start + len(lines))

@@ -187,6 +187,18 @@ def test_a_query_nested_3000_deep_is_answered_not_an_error(tmp_path):
         assert out.endswith("true.\n")
 
 
+@pytest.mark.parametrize("opening", ["(p(a);", "\\+ ("])
+def test_goals_nested_3000_deep_are_answered_not_an_error(tmp_path, opening):
+    db = tmp_path / "p.pl"
+    db.write_text("p(_).\n", encoding="utf-8")
+    query = opening * 3000 + "p(a)" + ")" * 3000
+    code, out, err = invoke(RunConfig(
+        db=str(db), query=query, format="answers-only",
+        limits=Limits(max_depth=5000, max_nodes=100000)))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "true."
+
+
 def test_answers_nested_1200_deep_are_printed(tmp_path, capsys):
     db = tmp_path / "nat.pl"
     db.write_text("n(0).\nn(succ(X)) :- n(X).\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -11,9 +12,10 @@ from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
 from sldtree.errors import (CyclicTermError, InstantiationError,
                             UnknownPredicateError)
 from sldtree.fixtures import load_fixture
-from sldtree.kb import Call, Negation, goal_variables, seq_text
+from sldtree.kb import (Call, Cut, Disjunction, Negation, goal_variables,
+                        seq_text)
 from sldtree.reader import parse_program, parse_query
-from sldtree.terms import (Compound, Variable, indicator, term_text,
+from sldtree.terms import (Atom, Compound, Variable, indicator, term_text,
                            variables_of)
 from sldtree.unify import rename_clause, unify
 from test_golden import DB, cases as golden_cases
@@ -242,6 +244,82 @@ def test_negation_of_unprovable_goal_succeeds():
 def test_youngest_via_negation():
     tree = build_tree(load_fixture("youngest"), parse_query("youngest(Who)"))
     assert answers(tree) == ["Who = ben"]
+
+
+# -- ';' and '\+' nested deep -------------------------------------------------
+
+X = Variable("X")
+
+
+def nest(kind, n, bottom):
+    """`bottom` inside n goals of `kind`, each with a leading cut: the
+    cut on a ';' goal's left, the cut and the rest in a '\\+' goal."""
+    g = bottom
+    for _ in range(n):
+        g = (Disjunction((Cut(),), (g,)) if kind == ";"
+             else Negation((Cut(), g)))
+    return g
+
+
+@pytest.mark.parametrize("kind", [";", "\\+"])
+def test_rewrite_walks_goals_nested_100000_deep(kind):
+    # at the interpreter's default recursion limit
+    n = 100_000
+    names = set()
+    (g,) = engine._rewrite((nest(kind, n, Call(Compound("p", (X,)))),), 0,
+                           {X: Atom("a")}, {}, names)
+    for _ in range(n):
+        cut, g = g.left + g.right if kind == ";" else g.inner
+        # a ';' goal's cuts are scoped, a negation's stay unowned
+        assert cut == Cut(0 if kind == ";" else None)
+    assert g == Call(Compound("p", (Atom("a"),)))
+    assert names == set()
+
+
+def test_a_negation_with_nothing_to_rewrite_is_kept_whole():
+    g = nest("\\+", 100_000, Call(Compound("p", (X,))))
+    assert engine._rewrite((g,), 0, {}, {})[0] is g
+
+
+NESTED = 10_000
+
+
+@pytest.mark.parametrize("query, want", [
+    ("(p(a);" * NESTED + "p(a)" + ")" * NESTED, ["true"] * (NESTED + 1)),
+    ("\\+ (" * NESTED + "p(a)" + ")" * NESTED, ["true"]),
+], ids=(";", "\\+"))
+def test_a_query_nested_10000_deep_is_built(query, want):
+    tree = build("p(_).", query,
+                 limits=Limits(max_depth=2 * NESTED, max_nodes=100000))
+    assert not tree.truncated
+    assert answers(tree) == want
+
+
+def rewrite_lines(n):
+    """Lines _rewrite runs while a query of n nested '\\+' goals is built."""
+    code, lines = engine._rewrite.__code__, 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    program = parse_program("p(_).")
+    query = parse_query("\\+ (" * n + "p(a)" + ")" * n)
+    limits = Limits(max_depth=2 * n, max_nodes=100000)
+    sys.settrace(lambda frame, event, arg:
+                 count_lines if frame.f_code is code else None)
+    try:
+        build_tree(program, query, limits)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def test_expanding_nested_negations_is_linear_in_the_nest():
+    # each negation's expansion keeps the negations inside it whole; one
+    # that walked them would rewrite the nest below it at every level
+    assert rewrite_lines(2000) / rewrite_lines(1000) <= 2.5
 
 
 # -- limits -------------------------------------------------------------------

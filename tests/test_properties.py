@@ -20,10 +20,13 @@ step's unifier, a cyclic one raising in both, and two query variables
 must print as aliases exactly when they share one unbound value, and at
 each clause tried the builder's path set must hold exactly the names
 shown from the root down to the node it expands, and the names it
-hands each node it visits must be those the node shows, as _names_of
-finds them, which it calls once, for the root. On propositional
-programs with cut, `;` and `\\+`, the solutions of the built tree must
-be as many as a generator solver over goal lists finds.
+hands each node it visits must be those the node shows in its goals and
+on its edge label, while the engine finds the variables of goals once,
+for the query. The engine's goal rewrite must agree with its earlier
+recursive form, goal for goal and name for name, and keep the same
+calls and comparisons. On propositional programs with cut, `;` and
+`\\+`, the solutions of the built tree must be as many as a generator
+solver over goal lists finds.
 """
 import json
 from collections import deque
@@ -41,9 +44,9 @@ import sldtree.engine as engine
 from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
                             build_tree, expand, solutions)
 from sldtree.errors import CyclicTermError
-from sldtree.kb import (Call, Clause, Compare, Cut, Disjunction, FailGoal,
-                        Negation, Program, TrueGoal, goal_variables,
-                        seq_text)
+from sldtree.kb import (COMPARE_OPS, Call, Clause, Compare, Cut, Disjunction,
+                        FailGoal, Negation, Program, TrueGoal,
+                        goal_variables, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.render import _Canvas
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
@@ -901,23 +904,25 @@ def test_the_path_set_holds_the_names_shown_from_the_root(program, query):
 
 
 def names_at_each_visit(program, query, limits):
-    """The tree, the number of _names_of calls, and (node, the names the
-    builder handed it, a copy of the path set) at each node visited."""
+    """The tree, the goal sequences the engine's goal_variables was called
+    on, and (node, the names the builder handed it, a copy of the path
+    set) at each node visited."""
     seen, calls = [], []
-    real_visit, real_names_of = engine._Builder._visit, engine._names_of
+    real_visit, real_goal_variables = (engine._Builder._visit,
+                                       engine.goal_variables)
 
     def visit(self, node, frames, names):
         seen.append((node, names, set(self.path)))
         return real_visit(self, node, frames, names)
 
-    def names_of(*args):
-        calls.append(args)
-        return real_names_of(*args)
+    def goal_variables_spy(goals):
+        calls.append(goals)
+        return real_goal_variables(goals)
 
     with mock.patch.object(engine._Builder, "_visit", visit), \
-            mock.patch.object(engine, "_names_of", names_of):
+            mock.patch.object(engine, "goal_variables", goal_variables_spy):
         tree = build_tree(program, query, limits)
-    return tree, len(calls), seen
+    return tree, calls, seen
 
 
 @settings(max_examples=300, deadline=None)
@@ -929,14 +934,116 @@ def test_the_names_a_visited_node_is_handed_are_those_it_shows(
             program, query, Limits(max_depth=8, max_nodes=400))
     except CyclicTermError:
         return
-    assert calls == 1  # for the root
+    # once, for the query variables, whose names the root is handed
+    assert len(calls) == 1 and calls[0] is query
     assert seen[0][0] is tree.root
     for node, names, path in seen:
-        shown = engine._names_of(node.goals, node.label)
+        shown = shown_names(node)
         if names is None:  # a plain child shows only what its parent does
             assert shown <= path
         else:
             assert names == shown
+
+
+# -- the goal rewrite against its recursive form -----------------------------
+
+def recursive_rewrite(goals, depth, bindings, memo, names=None):
+    """The engine's earlier recursive _rewrite, kept as the oracle."""
+    out = []
+    for g in goals:
+        if isinstance(g, Call):
+            term = resolve(g.term, bindings, memo, names)
+            if term is not g.term:
+                g = Call(term)
+        elif isinstance(g, Compare):
+            lhs = resolve(g.lhs, bindings, memo, names)
+            rhs = resolve(g.rhs, bindings, memo, names)
+            if lhs is not g.lhs or rhs is not g.rhs:
+                g = Compare(g.op, lhs, rhs)
+        elif isinstance(g, Cut) and g.depth is None:
+            g = Cut(depth)
+        elif isinstance(g, Disjunction):
+            g = Disjunction(
+                recursive_rewrite(g.left, depth, bindings, memo, names),
+                recursive_rewrite(g.right, depth, bindings, memo, names))
+        elif isinstance(g, Negation):
+            g = Negation(recursive_rewrite(g.inner, None, bindings, memo,
+                                           names))
+        out.append(g)
+    return tuple(out)
+
+
+_rw_sides = st.one_of(u_terms, st.integers(0, 3).map(Integer))
+_rw_leaves = st.one_of(
+    u_terms.map(lambda t: Call(Compound("p", (t,)))),
+    st.just(Call(Atom("q"))),
+    st.builds(Compare, st.sampled_from(COMPARE_OPS), _rw_sides, _rw_sides),
+    st.builds(Cut, st.one_of(st.none(), st.integers(0, 3))),
+    st.sampled_from((TrueGoal(), FailGoal())))
+
+
+def _rw_goals(levels):
+    """Goals with ';' and '\\+' goals nested up to `levels` deep."""
+    if not levels:
+        return _rw_leaves
+    seqs = st.lists(_rw_goals(levels - 1), max_size=3).map(tuple)
+    return st.one_of(_rw_leaves, st.builds(Disjunction, seqs, seqs),
+                     seqs.map(Negation))
+
+
+rw_goal_seqs = st.lists(_rw_goals(4), max_size=4).map(tuple)
+rw_depths = st.one_of(st.none(), st.integers(0, 3))
+rw_bindings = st.one_of(st.just({}), u_bindings)
+rw_names = st.one_of(st.none(), st.sets(st.sampled_from(("X", "A", "Q")),
+                                        max_size=2))
+
+
+def rewritten(rewrite, goals, depth, bindings, names):
+    """What `rewrite` returns, or the cyclic-term message it raises, and
+    the names it collected, into a copy of `names`."""
+    names = None if names is None else set(names)
+    try:
+        return rewrite(goals, depth, bindings, {}, names), names
+    except CyclicTermError as e:
+        return str(e), names
+
+
+def goals_in_order(goals):
+    """Each goal of `goals`, and of the ';' and '\\+' goals among them,
+    in the order the rewrite meets them."""
+    out = []
+    for g in goals:
+        out.append(g)
+        if isinstance(g, Disjunction):
+            out += goals_in_order(g.left + g.right)
+        elif isinstance(g, Negation):
+            out += goals_in_order(g.inner)
+    return out
+
+
+_QX = Compound("p", (U_BOUND[0],))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rw_goal_seqs, rw_depths, rw_bindings, rw_names)
+@example((Negation((Cut(), Negation((Call(_QX),)))),), 0, {}, None)
+@example((Disjunction((Cut(),), (Negation((Call(_QX), Cut())),)),), 1,
+         {U_BOUND[0]: _QX}, set())
+def test_rewrite_agrees_with_its_recursive_form(goals, depth, bindings,
+                                                names):
+    got, got_names = rewritten(engine._rewrite, goals, depth, bindings,
+                               names)
+    want, want_names = rewritten(recursive_rewrite, goals, depth, bindings,
+                                 names)
+    assert (got, got_names) == (want, want_names)
+    if isinstance(want, str):
+        return
+    # a call or comparison is kept by identity exactly when the oracle
+    # keeps it
+    for g, new, old in zip(goals_in_order(goals), goals_in_order(got),
+                           goals_in_order(want)):
+        if isinstance(g, (Call, Compare)):
+            assert (new is g) == (old is g)
 
 
 # -- cut, ';' and '\+' against a generator solver ---------------------------
