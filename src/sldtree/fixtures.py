@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .kb import Program
@@ -43,6 +44,7 @@ def get_fixture(name: str) -> Fixture:
         raise KeyError(f"no fixture named {name!r} (known: {known})") from None
 
 
+@cache  # the bundled files do not change while the process runs
 def fixture_text(name: str) -> str:
     f = get_fixture(name)
     return (resources.files(__package__) / "fixtures" / f.resource).read_text(

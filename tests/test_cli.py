@@ -87,6 +87,17 @@ def test_unknown_db_name():
     assert "no such file or bundled fixture: no_such_thing" in err
 
 
+def test_a_file_on_disk_wins_over_a_fixture_of_its_name(tmp_path,
+                                                        monkeypatch):
+    invoke(RunConfig(db="romance", query="jealous(X, Y)"))  # read it first
+    (tmp_path / "romance").write_text("jealous(me, you).\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = invoke(RunConfig(db="romance", query="jealous(X, Y)",
+                                    format="answers-only"))
+    assert code == EXIT_OK
+    assert out == "X = me, Y = you\n"
+
+
 def test_parse_error_reports_position():
     code, _, err = invoke(RunConfig(db="romance", query="jealous(X,"))
     assert code == EXIT_ERROR

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from sldtree.engine import build_tree, solutions
@@ -21,6 +23,20 @@ def test_get_fixture_reports_known_names():
     with pytest.raises(KeyError) as info:
         get_fixture("nonsense")
     assert "romance" in str(info.value)
+
+
+def test_each_fixture_is_read_once(monkeypatch):
+    fixture_text.cache_clear()
+    opened = []
+    files = resources.files
+    monkeypatch.setattr(resources, "files",
+                        lambda package: opened.append(package) or files(package))
+    texts = [fixture_text(f.name) for f in FIXTURES]
+    assert [fixture_text(f.name) for f in FIXTURES] == texts
+    assert len(opened) == len(FIXTURES)
+    for _ in range(2):
+        with pytest.raises(KeyError, match="romance"):
+            fixture_text("nonsense")
 
 
 def test_sources_parse():

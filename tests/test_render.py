@@ -204,3 +204,39 @@ def test_perm_3_draws_every_goal_list_and_label():
     wanted = shown_strings(to_view(tree))
     assert len(wanted) == 129
     assert [s for s in wanted if s not in text] == []
+
+
+def render_lines(tree):
+    """Lines of Python that render_text runs to draw `tree`, made a view
+    first so that only the layout and the painting are counted."""
+    view, lines = to_view(tree), 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    sys.settrace(lambda frame, event, arg: count_lines)
+    try:
+        render_text(view)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def chain(depth):
+    return build("p :- p.", "p", limits=Limits(max_depth=depth))
+
+
+def append_split(n):
+    items = ",".join(map(str, range(1, n + 1)))
+    return build_tree(load_fixture("append"),
+                      parse_query(f"append(X,Y,[{items}])"))
+
+
+@pytest.mark.parametrize("shape, n", [(chain, 100), (append_split, 20)],
+                         ids=("chain", "append-split"))
+def test_drawing_is_linear_in_the_tree(shape, n):
+    # the output of both shapes doubles with n; a layout that copied each
+    # line into every ancestor would do about four times the work
+    assert render_lines(shape(2 * n)) / render_lines(shape(n)) <= 2.5
