@@ -41,7 +41,7 @@ import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, islice
+from itertools import count, islice
 from string import ascii_uppercase
 
 from .errors import InstantiationError, UnknownPredicateError
@@ -71,10 +71,6 @@ class EdgeLabel:
     def lines(self) -> list[str]:
         return [f"{v.name}={term_text(t)}" for v, t in self.bindings]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.bindings
-
 
 @dataclass(eq=False)
 class SearchNode:
@@ -84,10 +80,6 @@ class SearchNode:
     children: list["SearchNode"] = field(default_factory=list)
     # lowest generation a clause renamed to expand this node may take
     floor: int = 1
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass(frozen=True)
@@ -475,18 +467,6 @@ def build_tree(program: Program, query: GoalSeq,
                                            ("max_nodes", builder.full))
                     if hit)
     return SearchTree(root, qvars, builder.answers, tripped)
-
-
-def expand(node: SearchNode, program: Program,
-           options: EngineOptions | None = None
-           ) -> tuple[list[SearchNode], list[Step]]:
-    """One expansion step on its own, mainly for poking at the rules: the
-    node's children, and the bindings each child's step made."""
-    builder = _Builder(program, Limits(), options or EngineOptions())
-    builder.path = {v.name for v in goal_variables(
-        (*node.goals, *chain(*node.label.bindings))) if not v.is_anonymous}
-    node.children, steps, _ = builder.expand(node, [])
-    return node.children, steps
 
 
 def solutions(tree: SearchTree) -> list[Answer]:

@@ -18,30 +18,27 @@ children are dropped out of the row one by one and drawn below the
 remaining ones, each on its own band with a long connector run. The
 budget is a soft target: a single over-wide leaf still renders whole.
 
-A block holds only its own text, runs and labels. Each child stays a
-block of its own, placed at a row and column of its parent, and a
-block's width, anchor and height come from its own rows and its
-children's numbers. A child lands on blank rows, and only runs and
-labels drawn after it touch them, so each cell of the drawing is the
-block's own where it wrote one, else its child's. A child's row is
-copied into its parent only when a dropped child's run or label has to
-test the cells of that row, once. render_text then paints the drawing
-once, row by row, from one walk of the blocks that goes into a child
-only for the rows its parent has not copied. Goals and labels never
-start or end with whitespace, as the printer writes them, and only a
-space is a blank cell.
+A child is not copied into its parent when it is placed: it stays a
+block of its own, kept as a placement at a row and column of its
+parent. The first time a run or label tests a cell while placements are
+kept, they are all pasted into the parent's rows, under what is written
+there, and the list is cleared. Only a dropped child's run or label tests
+cells after a child is placed, so a block keeps its rows, with every
+child pasted in, and the children placed after the last test.
+render_text then paints the drawing once, row by row, from one walk of
+the blocks; pasting is the same walk over a canvas's placements. Goals
+and labels never start or end with whitespace, as the printer writes
+them, and only a space is a blank cell.
 
-Drawing takes time linear in its output, but for the rows a dropped
-child's run or label tests: each such row is copied into the block that
-tests it. A flat table's output is itself quadratic in its fan-out,
-since each dropped child's run crosses every row above it.
+Drawing takes time linear in its output, except that a block with a
+dropped child copies the rows above its last dropped band once. A flat
+table's output is itself quadratic in its fan-out, since each dropped
+child's run crosses every row above it.
 """
 from __future__ import annotations
 
 import re
-import sys
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence, Set as AbstractSet
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import sub
 
@@ -66,100 +63,19 @@ class RenderOptions:
 
 @dataclass(eq=False, slots=True)
 class _Block:
-    """A laid-out subtree. It holds only its own text, runs and labels;
-    each child stays a block of its own, placed at a row and column of
-    this one. Nothing in a block changes once it is made."""
-    rows: Sequence[str]  # its own cells, in the columns of its canvas
+    """A laid-out subtree: its rows, with every child pasted into them,
+    and the children never pasted, each placed at a row and column of
+    this block. Nothing in a block changes once it is made."""
+    rows: Sequence[str]  # in the columns of its canvas
     shift: int  # the canvas column of the block's column 0
-    # (block, row, column) of each child with rows not built into `rows`,
-    # by row, and each one's row, for bisect
-    kids: Sequence[tuple[_Block, int, int]]
-    tops: Sequence[int]
-    # rows 0..full-1, and those in `built`, hold all the cells of their
-    # kids, or have none; the rows of the others are still in the kids
-    full: int
-    built: AbstractSet[int]
+    kids: Sequence[tuple[_Block, int, int]]  # (block, row, column), by row
     width: int
     height: int
     anchor: int
 
 
 def _leaf_block(text: str) -> _Block:
-    return _Block((text,), 0, (), (), 1, frozenset(), len(text), 1,
-                  len(text) // 2)
-
-
-def _covering(kids: Sequence[tuple[_Block, int, int]], tops: Sequence[int],
-              lo: int, hi: int) -> list[tuple[_Block, int, int]]:
-    """The kids with a row in lo..hi-1. Kids sit in bands: the kept ones
-    share one top row, and each dropped one has a band of its own below
-    all earlier kids, so only the last band that starts at or above lo
-    can reach down into the range."""
-    start = 0
-    if lo > tops[0]:
-        start = bisect_left(tops, tops[bisect_right(tops, lo) - 1])
-    end = len(tops) if hi > tops[-1] else bisect_left(tops, hi)
-    return [k for k in kids[start:end] if k[1] + k[0].height > lo]
-
-
-def _gaps(built: AbstractSet[int], r0: int,
-          r1: int) -> list[tuple[int, int]]:
-    """The rows r0..r1-1 that are not in `built`, as half-open spans."""
-    if not built:
-        return [(r0, r1)] if r0 < r1 else []
-    spans = []
-    for r in sorted(r for r in built if r0 <= r < r1):
-        if r > r0:
-            spans.append((r0, r))
-        r0 = r + 1
-    if r0 < r1:
-        spans.append((r0, r1))
-    return spans
-
-
-def _enter(stack: list[tuple[_Block, int, int, int, int]],
-           ink: list[list[tuple[int, str]]], lo: int,
-           kids: Sequence[tuple[_Block, int, int]], tops: Sequence[int],
-           top: int, left: int, g0: int, g1: int) -> None:
-    """Put on `stack`, as _walk takes it, the kids that have rows in
-    g0..g1-1 of a block at row `top` and column `left`. A leaf needs no
-    walk: its one row, its text, goes straight to `ink`."""
-    for kid, r, c in _covering(kids, tops, g0, g1):
-        if kid.kids:
-            stack.append((kid, top + r, left + c, top + max(g0, r),
-                          top + min(g1, r + kid.height)))
-        else:
-            ink[top + r - lo].append((left + c, kid.rows[0]))
-
-
-def _walk(stack: list[tuple[_Block, int, int, int, int]], lo: int,
-          ink: list[list[tuple[int, str]]]) -> None:
-    """Append to ink[r - lo] the (column, text) runs that the placed
-    blocks on `stack` show on row r. An entry is (block, its top row, its
-    left column, the first and one past the last row to copy). A kid is
-    entered only for the rows its block has not built, so no row of a
-    subtree is copied twice. A block's runs come before its kids': the
-    whole of a row that holds its kids' cells, which nothing else in the
-    block's columns then paints, or else each written piece of the row."""
-    while stack:
-        b, top, left, r0, r1 = stack.pop()
-        rows, shift, built = b.rows, b.shift, b.built
-        whole = max(r0, min(r1, top + b.full))
-        for line, text in zip(ink[r0 - lo:whole - lo],
-                              rows[r0 - top:whole - top]):
-            if text:
-                line.append((left, text[shift:]))
-        if whole == r1:
-            continue
-        for r in built:
-            if whole <= r + top < r1 and rows[r]:
-                ink[r + top - lo].append((left, rows[r][shift:]))
-        for g0, g1 in _gaps(built, whole - top, r1 - top):
-            for j in range(g0, min(g1, len(rows))):
-                line = ink[j + top - lo]
-                for m in _INK.finditer(rows[j], shift):
-                    line.append((left + m.start() - shift, m.group()))
-            _enter(stack, ink, lo, b.kids, b.tops, top, left, g0, g1)
+    return _Block((text,), 0, (), len(text), 1, len(text) // 2)
 
 
 def _ink(runs: list[tuple[int, str]]) -> str:
@@ -181,6 +97,32 @@ def _ink(runs: list[tuple[int, str]]) -> str:
     return row
 
 
+def _paint(runs: list[list[tuple[int, str]]],
+           stack: list[tuple[_Block, int, int]]) -> list[str]:
+    """The rows that `runs`, the (column, text) runs already on each row,
+    make with the blocks on `stack`, each (block, top row, left column),
+    painted under them. A block's runs come before its kids': whole rows
+    above its first kid, which nothing else in the block's columns
+    paints, and each written piece of a row from there down."""
+    while stack:
+        b, top, left = stack.pop()
+        rows, shift, kids = b.rows, b.shift, b.kids
+        whole = min(kids[0][1], len(rows)) if kids else len(rows)
+        for line, text in zip(runs[top:top + whole], rows[:whole]):
+            if text:
+                line.append((left, text[shift:]))
+        for line, text in zip(runs[top + whole:top + len(rows)],
+                              rows[whole:]):
+            for m in _INK.finditer(text, shift):
+                line.append((left + m.start() - shift, m.group()))
+        for kid, r, c in kids:
+            if kid.kids:
+                stack.append((kid, top + r, left + c))
+            else:  # a leaf needs no walk: its one row is its text
+                runs[top + r].append((left + c, kid.rows[0]))
+    return [_ink(line) if line else "" for line in runs]
+
+
 class _Canvas:
     """Grow-on-write character grid, one string per row. Columns are
     offset so the layout code may go temporarily negative; a write left
@@ -188,19 +130,16 @@ class _Canvas:
     starts at the leftmost written cell. Cells left of the grid or past
     the end of a row are free.
 
-    Placed blocks are not copied in. A row's cells from them are built
-    into it, under what was written there, before `free` or
-    `free_window` first tests that row; a block must be placed on blank
-    rows, below every block placed before it or beside those of its
-    band."""
+    Placed blocks are kept as placements. The first `free` or
+    `free_window` test while any are kept pastes them all into the
+    rows, under what is written there, and clears the list; a block
+    must be placed on blank rows, below every block placed before it or
+    beside those of its band."""
 
     def __init__(self, offset: int):
         self.off = offset
         self.rows: list[str] = []
         self.kids: list[tuple[_Block, int, int]] = []
-        self.tops: list[int] = []
-        self.full = sys.maxsize  # as in _Block
-        self.built: set[int] = set()
 
     def write(self, r: int, c: int, text: str) -> None:
         rows = self.rows
@@ -218,45 +157,24 @@ class _Canvas:
 
     def place(self, block: _Block, r: int, c: int) -> None:
         """Put `block` with its column 0 at column c of row r."""
-        if not self.kids:
-            self.full = r
         self.kids.append((block, r, c))
-        self.tops.append(r)
 
-    def build(self, r0: int, r1: int) -> None:
-        """Copy the cells of the placed blocks into rows r0..r1-1, under
-        what is written there, unless a row holds them already."""
-        if r1 <= self.full:
-            return
-        gaps = _gaps(self.built, max(r0, self.full), r1)
-        if r0 <= self.full:
-            self.full = max(self.full, r1)
-        else:
-            self.built.update(r for g0, g1 in gaps for r in range(g0, g1))
-        if not gaps:
-            return
-        lo, rows, off = gaps[0][0], self.rows, self.off
-        if len(rows) < r1:
-            rows.extend([""] * (r1 - len(rows)))
-        ink: list[list[tuple[int, str]]] = [[] for _ in range(lo, r1)]
-        for g0, g1 in gaps:
-            for r in range(g0, g1):
-                if rows[r]:
-                    ink[r - lo] = [(m.start(), m.group())
-                                   for m in _INK.finditer(rows[r])]
-        stack: list[tuple[_Block, int, int, int, int]] = []
-        for g0, g1 in gaps:
-            _enter(stack, ink, lo, self.kids, self.tops, 0, off, g0, g1)
-        _walk(stack, lo, ink)
-        for g0, g1 in gaps:
-            for r in range(g0, g1):
-                if ink[r - lo]:
-                    rows[r] = _ink(ink[r - lo])
+    def paste(self) -> None:
+        """Paint the placed blocks into the rows from the first one's
+        down, under what is written there, and forget them."""
+        rows, lo = self.rows, self.kids[0][1]
+        end = max(r + b.height for b, r, _ in self.kids)
+        rows.extend([""] * (end - len(rows)))
+        runs = [[(m.start(), m.group()) for m in _INK.finditer(row)]
+                for row in rows[lo:]]
+        rows[lo:] = _paint(runs, [(b, r - lo, c + self.off)
+                                  for b, r, c in self.kids])
+        self.kids = []
 
     def free(self, r: int, c0: int, c1: int) -> bool:
         # half-open column range, offset-adjusted
-        if r >= self.full and r not in self.built:
-            self.build(r, r + 1)
+        if self.kids:
+            self.paste()
         if r >= len(self.rows):
             return True
         c0 = max(c0 + self.off, 0)
@@ -265,8 +183,8 @@ class _Canvas:
     def free_window(self, r: int, c: int, width: int, step: int) -> int:
         """The first of c, c + step, c + 2 * step, ... at which `width`
         cells of row r are free; step is 1 or -1."""
-        if r >= self.full and r not in self.built:
-            self.build(r, r + 1)
+        if self.kids:
+            self.paste()
         if r >= len(self.rows):
             return c
         row = self.rows[r]
@@ -304,21 +222,9 @@ class _Canvas:
                     max(c + b.width for b, _, c in self.kids))
         height = max(len(self.rows),
                      max(r + b.height for b, r, _ in self.kids))
-        # a kid whose rows are all built in is never read again; the last
-        # one placed never is, as no run or label tests a row below it
-        kids = [(b, r, c - left) for b, r, c in self.kids
-                if r + b.height > self.full]
-        return _Block(self.rows, left + self.off, kids,
-                      [r for _, r, _ in kids], self.full,
-                      self.built or frozenset(), right - left, height,
-                      anchor - left)
-
-
-def _paint(block: _Block) -> list[str]:
-    """Every row of the drawing of `block`, from one walk of its blocks."""
-    runs: list[list[tuple[int, str]]] = [[] for _ in range(block.height)]
-    _walk([(block, 0, 0, 0, block.height)], 0, runs)
-    return [_ink(row) if row else "" for row in runs]
+        return _Block(self.rows, left + self.off,
+                      [(b, r, c - left) for b, r, c in self.kids],
+                      right - left, height, anchor - left)
 
 
 def _node_text(node: ViewNode) -> str:
@@ -378,8 +284,6 @@ def _draw_run(canvas: _Canvas, parent: int, anchor: int,
               clearance: int = 0) -> None:
     glyph = _run_glyph(parent, anchor)
     step = -1 if anchor < parent else 1
-    if glyph != "|":
-        canvas.build(top, bottom + 1)  # every row is tested below
     for r in range(top, bottom + 1):
         col = _run_col(parent, anchor, r, total)
         if glyph != "|":
@@ -476,4 +380,5 @@ def render_text(tree: SearchTree | ViewTree,
                 options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
     block = _layout(to_view(tree).root, opts.max_width)
-    return "\n".join(_paint(block)) + "\n"
+    runs: list[list[tuple[int, str]]] = [[] for _ in range(block.height)]
+    return "\n".join(_paint(runs, [(block, 0, 0)])) + "\n"

@@ -1,14 +1,14 @@
 import gc
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
 
 import sldtree.engine as engine
 from sldtree.cli import _build_parser, _load_db
 from sldtree.engine import (Answer, EngineOptions, Limits, NodeStatus,
-                            SearchNode, apply_cut, build_tree, expand,
-                            solutions)
+                            SearchNode, apply_cut, build_tree, solutions)
 from sldtree.errors import (CyclicTermError, InstantiationError,
                             UnknownPredicateError)
 from sldtree.fixtures import load_fixture
@@ -31,8 +31,18 @@ def build(src, query, **kw):
     return build_tree(parse_program(src), parse_query(query), **kw)
 
 
+def expand(node, program, options=None):
+    """One expansion step on its own, for poking at the rules: the node's
+    children, and the bindings each child's step made."""
+    builder = engine._Builder(program, Limits(), options or EngineOptions())
+    builder.path = {v.name for v in goal_variables(
+        (*node.goals, *chain(*node.label.bindings))) if not v.is_anonymous}
+    node.children, steps, _ = builder.expand(node, [])
+    return node.children, steps
+
+
 def leaves(node):
-    if node.is_leaf:
+    if not node.children:
         return [node]
     out = []
     for child in node.children:
@@ -54,14 +64,14 @@ def test_true_steps_to_the_rest():
     tree = build("p(a).", "true, p(X)")
     (child,) = tree.root.children
     assert seq_text(child.goals) == "p(X)"
-    assert child.label.is_empty
+    assert not child.label.bindings
     assert answers(tree) == ["X = a"]
 
 
 def test_fail_is_a_dead_end():
     tree = build("p(a).", "fail")
     (child,) = tree.root.children
-    assert child.status is FAIL and child.is_leaf
+    assert child.status is FAIL and not child.children
     assert answers(tree) == []
 
 
@@ -74,7 +84,7 @@ def test_comparison_that_holds_steps_on():
 def test_comparison_that_fails_is_a_dead_end():
     tree = build("p(a).", "5 < 5, !, fail")
     (child,) = tree.root.children
-    assert child.status is FAIL and child.is_leaf
+    assert child.status is FAIL and not child.children
 
 
 def test_cut_then_fail_chain():
@@ -180,7 +190,7 @@ def test_negation_expands_to_probe_and_continuation():
     probe, rest = tree.root.children
     assert seq_text(probe.goals) == "q(b),!,fail"
     assert seq_text(rest.goals) == "true"
-    assert probe.label.is_empty and rest.label.is_empty
+    assert not probe.label.bindings and not rest.label.bindings
     assert answers(tree) == ["true"]
 
 
@@ -636,7 +646,7 @@ def test_leaves_are_settled_and_interior_nodes_are_open(name, query):
     seen = [tree.root]
     while seen:
         node = seen.pop()
-        if node.is_leaf:
+        if not node.children:
             assert node.status is not OPEN
         else:
             assert node.status is OPEN
@@ -664,7 +674,7 @@ def test_answer_paths_lead_to_success_leaves():
         node = tree.root
         for i in answer.path:
             node = node.children[i]
-        assert node.status is SUCCESS and node.is_leaf
+        assert node.status is SUCCESS and not node.children
 
 
 def test_answer_bindings_follow_query_variable_order():

@@ -6,7 +6,9 @@ equivalent plain document is the oracle it must match byte for byte.
 On documents with a few corruptions, deserialize() must report the
 error, its place and its message, that a recursive reader finds first.
 The canvas search for a free connector column must agree with a
-column-by-column loop over free(). unify() must agree with a textbook
+column-by-column loop over free(), and with blocks placed among the
+writes, free() and free_window() must see a cell dictionary in which
+written cells win over placed ones. unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
 without unifying must not unify with the call. unify() must also bind
 the same variables to the same terms, in the same order, as its earlier
@@ -42,18 +44,19 @@ from hypothesis import strategies as st
 
 import sldtree.engine as engine
 from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
-                            build_tree, expand, solutions)
+                            build_tree, solutions)
 from sldtree.errors import CyclicTermError
 from sldtree.kb import (COMPARE_OPS, Call, Clause, Compare, Cut, Disjunction,
                         FailGoal, Negation, Program, TrueGoal,
                         goal_variables, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
-from sldtree.render import _Canvas
+from sldtree.render import _Canvas, _leaf_block
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
                                ViewTree, deserialize, serialize)
 from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
                            term_text, variables_of)
 from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
+from test_engine import expand
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -216,6 +219,57 @@ def test_canvas_keeps_every_cell_written(offset, ops, r, c0, span):
         assert canvas.rows[row][c + canvas.off] == ch
     blank = all(cells.get((r, c), " ") == " " for c in range(c0, c0 + span))
     assert canvas.free(r, c0, c0 + span) == blank
+
+
+# writes, placements of leaf blocks, as (rows down, columns right of the
+# last, text), and free() tests, in any order; a leaf's text neither
+# starts nor ends with a blank, as a goal list or glyph does
+canvas_ops = st.lists(st.one_of(
+    st.tuples(st.just("w"), st.integers(0, 3), st.integers(-12, 20),
+              st.text(alphabet=" x/", min_size=1, max_size=5)),
+    st.tuples(st.just("p"), st.integers(0, 2), st.integers(0, 4),
+              st.text(alphabet=" x/", min_size=1, max_size=5).map(
+                  lambda t: t.strip() or "x")),
+    st.tuples(st.just("t"), st.integers(0, 6), st.integers(-20, 30),
+              st.integers(1, 5))), max_size=10)
+
+
+@given(st.integers(0, 6), canvas_ops, st.integers(0, 6),
+       st.integers(-20, 30), st.integers(1, 5), st.sampled_from((1, -1)))
+def test_canvas_pastes_placed_blocks_under_what_is_written(
+        offset, ops, r, c, width, step):
+    # the model: a placed block's cells go in under the written ones at
+    # the first test after it is placed; a write then wins, a blank too.
+    # The blocks go down the rows, side by side on one row, as the
+    # layout places its children
+    canvas, cells, placed, top, right = _Canvas(offset), {}, [], 0, 0
+
+    def blank(r, c0, c1):
+        for row, col, text in placed:
+            for k, ch in enumerate(text):
+                if ch != " " and cells.get((row, col + k), " ") == " ":
+                    cells[row, col + k] = ch
+        placed.clear()
+        return all(cells.get((r, c), " ") == " " for c in range(c0, c1))
+
+    for kind, row, col, x in ops:
+        if kind == "w":
+            canvas.write(row, col, x)
+            cells.update(((row, col + k), ch) for k, ch in enumerate(x))
+        elif kind == "p":
+            top, right = top + row, right * (not row) + col
+            canvas.place(_leaf_block(x), top, right)
+            placed.append((top, right, x))
+            right += len(x)
+        else:
+            assert canvas.free(row, col, col + x) == blank(row, col, col + x)
+    want = c
+    while not blank(r, want, want + width):
+        want += step
+    assert canvas.free_window(r, c, width, step) == want
+    ink = {(row, k - canvas.off): ch for row, text in enumerate(canvas.rows)
+           for k, ch in enumerate(text) if ch != " "}
+    assert ink == {cell: ch for cell, ch in cells.items() if ch != " "}
 
 
 # -- unify ------------------------------------------------------------------

@@ -240,3 +240,13 @@ def test_drawing_is_linear_in_the_tree(shape, n):
     # the output of both shapes doubles with n; a layout that copied each
     # line into every ancestor would do about four times the work
     assert render_lines(shape(2 * n)) / render_lines(shape(n)) <= 2.5
+
+
+def test_drawing_with_nested_drops_is_linear_in_its_output():
+    # perm 4 drops bands inside dropped bands, which neither shape above
+    # does, and its output is six times perm 3's; a drawing linear in its
+    # output does no more traced work per byte on the bigger tree
+    def lines_per_byte(items):
+        tree = build((DB / "perm.pl").read_text(), f"perm([{items}],P)")
+        return render_lines(tree) / len(render_text(tree))
+    assert lines_per_byte("a,b,c,d") <= lines_per_byte("a,b,c")
