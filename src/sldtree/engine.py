@@ -72,14 +72,29 @@ class EdgeLabel:
         return [f"{v.name}={term_text(t)}" for v, t in self.bindings]
 
 
-@dataclass(eq=False)
+_NO_LABEL = EdgeLabel()  # shared by every node without bindings shown
+
+
 class SearchNode:
-    goals: GoalSeq
-    status: NodeStatus = NodeStatus.OPEN
-    label: EdgeLabel = EdgeLabel()
-    children: list["SearchNode"] = field(default_factory=list)
-    # lowest generation a clause renamed to expand this node may take
-    floor: int = 1
+    """A node of the tree: mutable, and equal only to itself. The build
+    makes one for every clause it tries, so this is a plain slotted class."""
+    __slots__ = ("goals", "status", "label", "children", "floor")
+
+    def __init__(self, goals: GoalSeq, status: NodeStatus = NodeStatus.OPEN,
+                 label: EdgeLabel = _NO_LABEL,
+                 children: list[SearchNode] | None = None,
+                 floor: int = 1) -> None:
+        self.goals = goals
+        self.status = status
+        self.label = label
+        self.children = [] if children is None else children
+        # lowest generation a clause renamed to expand this node may take
+        self.floor = floor
+
+    def __repr__(self) -> str:  # the children by count: a tree is deep
+        return (f"SearchNode(goals={self.goals!r}, status={self.status!r}, "
+                f"label={self.label!r}, floor={self.floor!r}, "
+                f"{len(self.children)} children)")
 
 
 @dataclass(frozen=True)
@@ -117,12 +132,37 @@ class SearchTree:
         return bool(self.tripped)
 
 
+# a node's place in the tree: the index of the child taken at its
+# parent, and the parent's cell; the root's is None. Answers whose leaves
+# share an ancestor share its cell, so paths take memory linear in the tree
+PathCell = tuple[int, "PathCell"] | None
+
+
 @dataclass(frozen=True)
 class Answer:
     bindings: tuple[tuple[Variable, Term], ...]
-    path: tuple[int, ...]
+    # the success leaf's path cell. == compares `path` in its place and
+    # hash() leaves it out: they would walk a chain of cells as deep as
+    # the tree by recursion
+    cell: PathCell = field(compare=False, repr=False)
     # the query variables left unbound, which bound ones may share
     free: tuple[Variable, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Answer:
+            return NotImplemented
+        return ((self.bindings, self.free, self.path)
+                == (other.bindings, other.free, other.path))
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """The child indices from the root to the success leaf."""
+        indices = []
+        cell = self.cell
+        while cell is not None:
+            index, cell = cell
+            indices.append(index)
+        return tuple(reversed(indices))
 
     @property
     def mapping(self) -> dict[Variable, Term]:
@@ -260,6 +300,23 @@ class _Frame:
     steps: list[Step]
     names: list[set[str] | None]
     index: int = -1
+    # the path cell of the child at `index`, made when an answer below it
+    # is found: a subtree without answers makes no cell
+    cell: PathCell = None
+
+
+def _path_cell(frames: list[_Frame]) -> PathCell:
+    """The path cell of the node that `frames` lead to, made for each
+    frame that has none yet. A frame drops its cell when it moves to its
+    next child, and every frame below it has left the path by then, so
+    the frames that have a cell are a prefix of the path."""
+    k = len(frames)
+    while k and frames[k - 1].cell is None:
+        k -= 1
+    cell = frames[k - 1].cell if k else None
+    for f in frames[k:]:
+        f.cell = cell = (f.index, cell)
+    return cell
 
 
 class _Builder:
@@ -284,21 +341,28 @@ class _Builder:
     def run(self, root: SearchNode) -> None:
         frames: list[_Frame] = []
         env = self.env
+        open_ = NodeStatus.OPEN
         self._visit(root, frames, {v.name for v in self.query_vars})
         while frames:
             f = frames[-1]
-            if f.index >= 0:  # back from a child: its step leaves the env
-                for v, _ in f.steps[f.index]:
+            i = f.index
+            if i >= 0:  # back from a child: its step leaves the env
+                for v, _ in f.steps[i]:
                     del env[v]
-            f.index += 1
-            if f.index >= len(f.node.children):
+            # the next open child: most children of a wide call are failure
+            # leaves, which have nothing to visit
+            children = f.node.children
+            i += 1
+            while i < len(children) and children[i].status is not open_:
+                i += 1
+            if i == len(children):
                 frames.pop()
                 self.path -= f.added
                 continue
-            env.update(f.steps[f.index])
-            child = f.node.children[f.index]
-            if child.status is NodeStatus.OPEN:
-                self._visit(child, frames, f.names[f.index])
+            f.index = i
+            f.cell = None
+            env.update(f.steps[i])
+            self._visit(children[i], frames, f.names[i])
 
     def _visit(self, node: SearchNode, frames: list[_Frame],
                names: set[str] | None) -> None:
@@ -329,7 +393,7 @@ class _Builder:
         # a query variable left unbound is not an answer binding
         self.answers.append(Answer(
             tuple((v, t) for v, t in zip(qvars, values) if t is not v),
-            tuple([f.index for f in frames]),
+            _path_cell(frames),
             tuple(v for v, t in zip(qvars, values) if t is v)))
 
     # -- expansion ------------------------------------------------------

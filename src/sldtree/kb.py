@@ -10,19 +10,35 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import (Atom, Compound, Term, Variable, indicator, is_callable,
-                    term_text, variables_of, write)
+from .terms import (Atom, Compound, Frozen, Term, Variable, indicator,
+                    is_callable, term_text, variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
 
-@dataclass(frozen=True)
-class Call:
-    term: Term  # must satisfy is_callable
+class Call(Frozen):
+    """A goal that calls a predicate: the most common goal, made at every
+    resolution step, so a plain slotted class like the terms."""
+    __slots__ = ("term",)
 
-    def __post_init__(self) -> None:
-        if not is_callable(self.term):
-            raise ValueError(f"goal is not callable: {self.term!r}")
+    def __init__(self, term: Term) -> None:
+        if not is_callable(term):
+            raise ValueError(f"goal is not callable: {term!r}")
+        _set_term(self, term)
+
+    def __repr__(self) -> str:
+        return f"Call(term={self.term!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Call:
+            return self.term == other.term
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.term)
+
+
+_set_term = Call.term.__set__
 
 
 @dataclass(frozen=True)

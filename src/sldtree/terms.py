@@ -4,20 +4,47 @@ Terms are immutable. A Variable's identity is the object, never its
 display name: each Variable(name) is a new variable, so two variables
 with the same name in different clauses are different, and renaming a
 clause makes new variables even when the printed name stays the same.
+Atoms, integers and compounds are equal, and hash equal, when their
+structure is.
+
+Every resolution step makes terms, so the four classes are plain ones
+with __slots__ and their own __init__: no dataclass machinery runs per
+object. Each __init__ writes its fields through the slot descriptors,
+and assigning to a field afterwards raises AttributeError. A compound's
+==, hash() and repr() loop over an explicit stack, so a term nested any
+depth compares, hashes and prints as a flat one does.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Union
 
 
-@dataclass(frozen=True, eq=False)
-class Variable:
-    name: str
+class Frozen:
+    """Base of the immutable slotted classes: no field is set, or
+    deleted, once __init__ has written it through its slot descriptor."""
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable "
+            f"{type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"cannot delete field {name!r} of an immutable "
+            f"{type(self).__name__}")
+
+
+class Variable(Frozen):
+    """A logic variable; equal, and hashed, by identity only."""
+    __slots__ = ("name",)
     ground = False
+
+    def __init__(self, name: str) -> None:
+        _set_variable_name(self, name)
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -27,39 +54,121 @@ class Variable:
         return self.name == "_"
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Frozen):
+    __slots__ = ("name",)
     ground = True
+
+    def __init__(self, name: str) -> None:
+        _set_atom_name(self, name)
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Atom:
+            return self.name == other.name
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Integer:
-    value: int
+    # unify tests atoms with !=, which would otherwise go through __eq__
+    def __ne__(self, other: object) -> bool:
+        if type(other) is Atom:
+            return self.name != other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+
+class Integer(Frozen):
+    __slots__ = ("value",)
     ground = True
+
+    def __init__(self, value: int) -> None:
+        _set_integer_value(self, value)
 
     def __repr__(self) -> str:
         return f"Integer({self.value})"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Integer:
+            return self.value == other.value
+        return NotImplemented
 
-@dataclass(frozen=True)
-class Compound:
-    functor: str
-    args: tuple["Term", ...]
+    def __ne__(self, other: object) -> bool:
+        if type(other) is Integer:
+            return self.value != other.value
+        return NotImplemented
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+class Compound(Frozen):
+    __slots__ = ("functor", "args", "ground")
+
+    def __init__(self, functor: str, args: tuple[Term, ...]) -> None:
+        if not args:
             raise ValueError("compound terms need at least one argument")
+        _set_functor(self, functor)
+        _set_args(self, args)
         # no variable below: a walk that only rewrites variables skips it
-        object.__setattr__(self, "ground", all(map(_ground, self.args)))
+        _set_ground(self, all(map(_ground, args)))
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(a) for a in self.args)
-        return f"Compound({self.functor!r}, ({inner}))"
+        out: list[str] = []
+        stack: list = [self]  # terms, and the text that goes between them
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif type(t) is Compound:
+                out.append(f"Compound({t.functor!r}, (")
+                stack.append("))")
+                for a in reversed(t.args[1:]):
+                    stack += a, ", "
+                stack.append(t.args[0])
+            else:
+                out.append(repr(t))
+        return "".join(out)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Compound:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if type(x) is Compound and type(y) is Compound:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # the hash of the term's pre-order tokens, a compound giving its
+        # functor and arity: equal terms give equal tokens
+        tokens: list = []
+        stack: list[Term] = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Compound:
+                tokens += t.functor, len(t.args)
+                stack.extend(reversed(t.args))
+            else:
+                tokens.append(t)
+        return hash(tuple(tokens))
+
+
+_set_variable_name = Variable.name.__set__
+_set_atom_name = Atom.name.__set__
+_set_integer_value = Integer.value.__set__
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+_set_ground = Compound.ground.__set__
 
 Term = Union[Variable, Atom, Integer, Compound]
 

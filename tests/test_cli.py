@@ -1,10 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
 from sldtree.cli import (EXIT_ERROR, EXIT_NO_ANSWERS, EXIT_OK, EXIT_TRUNCATED,
-                         RunConfig, main, run)
+                         FORMATS, RunConfig, main, run)
 from sldtree.engine import Limits
 from sldtree.fixtures import FIXTURES
 
@@ -222,6 +223,52 @@ def test_answers_nested_1200_deep_are_printed(tmp_path, capsys):
     assert blocks[0] == "X = 0"
     assert blocks[-1] == "X = " + "succ(" * 1200 + "0" + ")" * 1200 + "\n"
     assert captured.err == "warning: tree truncated by the depth limit (1200)\n"
+
+
+def frame_depth():
+    """How many frames the caller's stack holds."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+# each input n levels deep, as (program, query, depth limit)
+DEEP_INPUTS = {
+    "term": lambda n: ("p(_).", "p(" + "f(" * n + "a" + ")" * n + ")", 10),
+    "disjunction": lambda n: ("p(_).", "(p(a);" * n + "p(a)" + ")" * n,
+                              2 * n),
+    "negation": lambda n: ("p(_).", "\\+ (" * n + "p(a)" + ")" * n, 2 * n),
+    "chain": lambda n: ("p :- p.", "p", n),
+    "nat": lambda n: ("n(0). n(succ(X)) :- n(X).", "n(X)", n),
+}
+# 2,000 deep where the output grows linearly with the depth. Elsewhere
+# 100 deep: the drawings of the nests grow with its cube, the documents
+# with its square, and the nat answers too, and at 100 a layer that
+# recursed once a level would still overrun the limit
+LINEAR = {("term", f) for f in FORMATS} | {("chain", "ascii")} | {
+    (shape, "answers-only") for shape in ("disjunction", "negation", "chain")}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("shape", DEEP_INPUTS)
+def test_no_layer_recurses(tmp_path, shape, fmt):
+    n = 2000 if (shape, fmt) in LINEAR else 100
+    src, query, max_depth = DEEP_INPUTS[shape](n)
+    db = tmp_path / "db.pl"
+    db.write_text(src + "\n", encoding="utf-8")
+    cfg = RunConfig(db=str(db), query=query, format=fmt,
+                    limits=Limits(max_depth=max_depth, max_nodes=100000))
+    limit = sys.getrecursionlimit()
+    # the whole pipeline gets about 50 frames: a RecursionError would be
+    # reported as an error, exit 2
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        code, out, err = invoke(cfg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (EXIT_OK, EXIT_TRUNCATED), err
+    assert "Traceback" not in err
 
 
 def test_list_fixtures():

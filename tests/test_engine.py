@@ -790,14 +790,13 @@ def test_the_build_holds_memory_linear_in_the_depth(shape, n):
     assert held_after_build(shape, 2 * n) / held_after_build(shape, n) <= 2.5
 
 
-def held_by_answers(n):
-    """Bytes the answers of the nat tree n steps deep hold once the build
-    that made them returns: what dropping them gives back."""
+def held_by_answers(tree_of, n):
+    """Bytes the n + 1 answers of tree_of(n) hold once the build that
+    made them returns: what dropping them gives back."""
     gc.collect()
     tracemalloc.start()
     try:
-        tree = build("n(0). n(succ(X)) :- n(X).", "n(X)",
-                     limits=Limits(max_depth=n))
+        tree = tree_of(n)
         assert len(solutions(tree)) == n + 1
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
@@ -808,13 +807,34 @@ def held_by_answers(n):
         tracemalloc.stop()
 
 
+def nat_tree(n):
+    """The nat tree n steps deep: the answer at depth k is succ^k(0)."""
+    return build("n(0). n(succ(X)) :- n(X).", "n(X)",
+                 limits=Limits(max_depth=n))
+
+
+def disjunction_tree(n):
+    """The tree of a ';' nest n deep: its answers bind nothing, and the
+    one at depth k has a path k long."""
+    return build("p(_).", "(p(a);" * n + "p(a)" + ")" * n,
+                 limits=Limits(max_depth=2 * n, max_nodes=4 * n))
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 12: each success leaf resolves its answer from scratch, "
     "so the answers share no subterm and hold memory quadratic in n"))
 def test_the_answers_hold_memory_linear_in_the_depth():
-    # the answer at depth k is succ^k(0); answers that shared the value
-    # their shallower sibling resolved would grow linearly
-    assert held_by_answers(200) / held_by_answers(100) <= 2.5
+    # answers that shared the value their shallower sibling resolved
+    # would grow linearly
+    assert (held_by_answers(nat_tree, 200)
+            / held_by_answers(nat_tree, 100)) <= 2.5
+
+
+def test_the_answer_paths_hold_memory_linear_in_the_depth():
+    # answers that each kept their path whole would hold memory
+    # quadratic in n; sharing the cells of common ancestors is linear
+    assert (held_by_answers(disjunction_tree, 4000)
+            / held_by_answers(disjunction_tree, 2000)) <= 2.5
 
 
 # -- smaller pieces ------------------------------------------------------------

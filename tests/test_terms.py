@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from sldtree.kb import Call, Compare, Disjunction, Negation, goal_variables
+from sldtree.reader import parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
                            indicator, is_callable, list_parts, list_term,
                            term_text, variables_of)
@@ -19,6 +20,69 @@ def test_variable_identity_is_the_object_not_the_name():
 def test_compound_requires_args():
     with pytest.raises(ValueError):
         Compound("f", ())
+
+
+def test_equal_terms_and_goals_are_equal_and_hash_equal():
+    x = Variable("X")  # one variable, in both copies
+
+    def make():
+        return [Atom("a"), Integer(7),
+                Compound("f", (Atom("a"), Compound("g", (x,)))),
+                Call(Compound("p", (Integer(1), x))), Call(Atom("q"))]
+    for a, b in zip(make(), make()):
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    fa = Compound("f", (Atom("a"),))
+    for a, b in [(Atom("a"), Atom("b")), (Integer(1), Integer(2)),
+                 (Atom("1"), Integer(1)), (fa, Atom("f")),
+                 (fa, Compound("g", (Atom("a"),))),
+                 (fa, Compound("f", (Atom("a"), Atom("a")))),
+                 (Compound("f", (x,)), Compound("f", (Variable("X"),))),
+                 (Call(Atom("p")), Call(Atom("q")))]:
+        assert a != b and not a == b
+
+
+def test_ground_marks_compounds_without_variables():
+    a = Atom("a")
+    assert Compound("f", (a, Compound("g", (Integer(1),)))).ground
+    assert not Compound("f", (a, Compound("g", (Variable("X"),)))).ground
+    assert a.ground and Integer(0).ground and not Variable("X").ground
+
+
+@pytest.mark.parametrize("obj, field", [
+    (Variable("X"), "name"), (Atom("a"), "name"), (Integer(1), "value"),
+    (Compound("f", (Atom("a"),)), "functor"),
+    (Compound("f", (Atom("a"),)), "args"),
+    (Compound("f", (Atom("a"),)), "ground"),
+    (Call(Atom("p")), "term"),
+])
+def test_terms_and_goals_are_immutable(obj, field):
+    # a frozen dataclass raises FrozenInstanceError, an AttributeError
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, Atom("b"))
+    assert getattr(obj, field) is before
+
+
+def test_terms_and_goals_repr():
+    t = Compound("f", (Variable("X"), Atom("a"), Integer(-3)))
+    assert repr(t) == ("Compound('f', (Variable('X'), Atom('a'), "
+                       "Integer(-3)))")
+    assert repr(Compound("g", (Atom("[]"),))) == "Compound('g', (Atom('[]')))"
+    assert repr(Call(t)) == ("Call(term=Compound('f', (Variable('X'), "
+                             "Atom('a'), Integer(-3))))")
+
+
+def test_terms_nested_100000_deep_compare_hash_and_repr_at_the_default_limit():
+    n = 100_000
+    text = "f(" * n + "a" + ")" * n
+    one, two = parse_term(text), parse_term(text)
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    other = parse_term(text.replace("a", "b"))  # differs at the innermost leaf
+    assert one != other and not one == other
+    assert repr(one) == "Compound('f', (" * n + "Atom('a')" + "))" * n
 
 
 def test_variables_of_first_occurrence_order():
