@@ -2,11 +2,13 @@
 search tree and the answers.
 
 Exit codes: 0 at least one answer, 1 no answers, 2 usage, parse, engine
-or internal error, 3 tree truncated by resource limits.
+or internal error, or output that cannot be written, 3 tree truncated by
+resource limits.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,10 +126,15 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         print(f"error: nested too deeply for this interpreter ({e})", file=err)
         return EXIT_ERROR
 
-    if drawing is not None:
-        out.write(drawing)
-        out.write("\n")
-    out.write(answers_text)
+    try:
+        if drawing is not None:
+            out.write(drawing)
+            out.write("\n")
+        out.write(answers_text)
+        out.flush()
+    except OSError as e:  # a closed pipe, a full disk
+        print(f"error: cannot write the output ({e})", file=err)
+        return EXIT_ERROR
 
     if tree.truncated:
         print(f"warning: tree truncated by {_tripped_text(tree, cfg.limits)}",
@@ -170,7 +177,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    return run(cfg, sys.stdout, sys.stderr)
+    code = run(cfg, sys.stdout, sys.stderr)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # what could not be written is still buffered, and the interpreter
+        # flushes stdout again as it exits: send it where it cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

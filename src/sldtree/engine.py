@@ -78,23 +78,19 @@ _NO_LABEL = EdgeLabel()  # shared by every node without bindings shown
 class SearchNode:
     """A node of the tree: mutable, and equal only to itself. The build
     makes one for every clause it tries, so this is a plain slotted class."""
-    __slots__ = ("goals", "status", "label", "children", "floor")
+    __slots__ = ("goals", "status", "label", "children")
 
     def __init__(self, goals: GoalSeq, status: NodeStatus = NodeStatus.OPEN,
                  label: EdgeLabel = _NO_LABEL,
-                 children: list[SearchNode] | None = None,
-                 floor: int = 1) -> None:
+                 children: list[SearchNode] | None = None) -> None:
         self.goals = goals
         self.status = status
         self.label = label
         self.children = [] if children is None else children
-        # lowest generation a clause renamed to expand this node may take
-        self.floor = floor
 
     def __repr__(self) -> str:  # the children by count: a tree is deep
         return (f"SearchNode(goals={self.goals!r}, status={self.status!r}, "
-                f"label={self.label!r}, floor={self.floor!r}, "
-                f"{len(self.children)} children)")
+                f"label={self.label!r}, {len(self.children)} children)")
 
 
 @dataclass(frozen=True)
@@ -286,37 +282,25 @@ def apply_cut(path: list[tuple[SearchNode, int]]) -> None:
                 child.status = NodeStatus.PRUNED
 
 
+# what the builder keeps for each child of a node on the DFS path: the
+# bindings of its step, the names it shows, and its floor, the lowest
+# generation a clause renamed to expand it may take. A clause child's
+# names are collected as its goals are rewritten; a plain child (of true,
+# '!', ';', '\+' or a comparison, or a failure leaf) has None, as its
+# goals show no variable that its parent does not show
+Kid = tuple[Step, "set[str] | None", int]
+
+
 @dataclass
 class _Frame:
-    """A node on the DFS path, and what the builder keeps for each of its
-    children, parallel to node.children: the bindings of the child's
-    step, and the names the child shows. A clause child's names are
-    collected as its goals are rewritten; a plain child (of true, '!',
-    ';', '\\+' or a comparison) has None, as its goals show no variable
-    that its parent does not show."""
+    """A node on the DFS path, its path cell, and a Kid for each of its
+    children, parallel to node.children."""
     node: SearchNode
+    cell: PathCell
     # the names the node put on the path: those it shows and no ancestor does
     added: set[str]
-    steps: list[Step]
-    names: list[set[str] | None]
+    kids: list[Kid]
     index: int = -1
-    # the path cell of the child at `index`, made when an answer below it
-    # is found: a subtree without answers makes no cell
-    cell: PathCell = None
-
-
-def _path_cell(frames: list[_Frame]) -> PathCell:
-    """The path cell of the node that `frames` lead to, made for each
-    frame that has none yet. A frame drops its cell when it moves to its
-    next child, and every frame below it has left the path by then, so
-    the frames that have a cell are a prefix of the path."""
-    k = len(frames)
-    while k and frames[k - 1].cell is None:
-        k -= 1
-    cell = frames[k - 1].cell if k else None
-    for f in frames[k:]:
-        f.cell = cell = (f.index, cell)
-    return cell
 
 
 class _Builder:
@@ -342,12 +326,12 @@ class _Builder:
         frames: list[_Frame] = []
         env = self.env
         open_ = NodeStatus.OPEN
-        self._visit(root, frames, {v.name for v in self.query_vars})
+        self._visit(root, frames, {v.name for v in self.query_vars}, 1)
         while frames:
             f = frames[-1]
             i = f.index
             if i >= 0:  # back from a child: its step leaves the env
-                for v, _ in f.steps[i]:
+                for v, _ in f.kids[i][0]:
                     del env[v]
             # the next open child: most children of a wide call are failure
             # leaves, which have nothing to visit
@@ -360,17 +344,18 @@ class _Builder:
                 self.path -= f.added
                 continue
             f.index = i
-            f.cell = None
-            env.update(f.steps[i])
-            self._visit(children[i], frames, f.names[i])
+            step, names, floor = f.kids[i]
+            env.update(step)
+            self._visit(children[i], frames, names, floor)
 
     def _visit(self, node: SearchNode, frames: list[_Frame],
-               names: set[str] | None) -> None:
+               names: set[str] | None, floor: int) -> None:
         """Expand `node`, unless it is a leaf, and push its frame;
         `names` are those it shows, or None if its parent shows them."""
+        cell = (frames[-1].index, frames[-1].cell) if frames else None
         if not node.goals:
             node.status = NodeStatus.SUCCESS
-            self._answer(frames)
+            self._answer(cell)
             return
         deep = len(frames) > self.limits.max_depth
         full = self.node_count >= self.limits.max_nodes
@@ -381,36 +366,33 @@ class _Builder:
             return
         added = names - self.path if names else set()
         self.path |= added
-        node.children, steps, child_names = self.expand(node, frames)
+        node.children, kids = self.expand(node, frames, floor)
         self.node_count += len(node.children)
-        frames.append(_Frame(node, added, steps, child_names))
+        frames.append(_Frame(node, cell, added, kids))
 
-    def _answer(self, frames: list[_Frame]) -> None:
-        """Read the answer off the success leaf that `frames` lead to."""
+    def _answer(self, cell: PathCell) -> None:
+        """Read the answer off the success leaf whose path cell is `cell`."""
         resolved: dict[Variable, Term] = {}
         qvars = self.query_vars
         values = [resolve(v, self.env, resolved) for v in qvars]
         # a query variable left unbound is not an answer binding
         self.answers.append(Answer(
             tuple((v, t) for v, t in zip(qvars, values) if t is not v),
-            _path_cell(frames),
+            cell,
             tuple(v for v, t in zip(qvars, values) if t is v)))
 
     # -- expansion ------------------------------------------------------
 
-    def expand(self, node: SearchNode, frames: list[_Frame]
-               ) -> tuple[list[SearchNode], list[Step],
-                          list[set[str] | None]]:
-        """Children of `node`, the bindings of each child's step, and the
-        names each child shows (None: only names its parent shows);
+    def expand(self, node: SearchNode, frames: list[_Frame], floor: int
+               ) -> tuple[list[SearchNode], list[Kid]]:
+        """Children of `node`, whose floor is `floor`, and a Kid for each;
         `frames` is the path from the root to its parent, so the node's
         depth is len(frames). What depends only on the call, its argument
         keys and its shown variables, is found once, not once per clause."""
         g, rest = node.goals[0], node.goals[1:]
         depth = len(frames)
         children: list[SearchNode]
-        steps: list[Step] = []  # empty: no child's step binds
-        names: list[set[str] | None] = []
+        plain: Kid = ((), None, floor)
 
         if isinstance(g, Call):
             key = indicator(g.term)
@@ -429,50 +411,45 @@ class _Builder:
                          if k is not None]
                 shown = [v for v in variables_of(g.term)
                          if not v.is_anonymous]
-                children = []
+                children, kids = [], []
                 for c in self.program.clauses_for(key):
                     keys = c.head_keys
                     for i, k in bound:
                         if keys[i] not in (None, k):
-                            child, step, seen = _fail_leaf(), (), None
+                            child, kid = _fail_leaf(), plain
                             break
                     else:
-                        child, step, seen = self._clause_child(
-                            node, g, shown, rest, c, depth)
+                        child, kid = self._clause_child(
+                            g, shown, rest, c, depth, floor)
                     children.append(child)
-                    steps.append(step)
-                    names.append(seen)
+                    kids.append(kid)
+                return children, kids
         elif isinstance(g, TrueGoal):
-            children = [self._plain_child(node, rest)]
+            children = [SearchNode(rest)]
         elif isinstance(g, FailGoal):
             children = [_fail_leaf()]
         elif isinstance(g, Cut):
             apply_cut([(f.node, f.index) for f in frames[g.depth or 0:]])
-            children = [self._plain_child(node, rest)]
+            children = [SearchNode(rest)]
         elif isinstance(g, Compare):
-            children = ([self._plain_child(node, rest)]
+            children = ([SearchNode(rest)]
                         if _compare_holds(g) else [_fail_leaf()])
         elif isinstance(g, Disjunction):
-            children = [self._plain_child(node, g.left + rest),
-                        self._plain_child(node, g.right + rest)]
+            children = [SearchNode(g.left + rest), SearchNode(g.right + rest)]
         elif isinstance(g, Negation):
             inner = _rewrite(g.inner, depth + 1, {}, {})
             probe = inner + (Cut(depth), FailGoal())
-            children = [self._plain_child(node, probe),
-                        self._plain_child(node, rest)]
+            children = [SearchNode(probe), SearchNode(rest)]
         else:
             raise TypeError(f"cannot expand goal {g!r}")
-        return (children, steps or [()] * len(children),
-                names or [None] * len(children))
+        return children, [plain] * len(children)
 
-    def _plain_child(self, node: SearchNode, goals: GoalSeq) -> SearchNode:
-        return SearchNode(goals, floor=node.floor)
-
-    def _clause_child(self, node: SearchNode, call: Call,
-                      shown: list[Variable], rest: GoalSeq, clause,
-                      depth: int) -> tuple[SearchNode, Step, set[str] | None]:
-        """The child for `clause`, the triangular bindings its step made,
-        renamed apart from the clause, and the names the child shows.
+    def _clause_child(self, call: Call, shown: list[Variable], rest: GoalSeq,
+                      clause, depth: int, floor: int
+                      ) -> tuple[SearchNode, Kid]:
+        """The child for `clause`, of a node whose floor is `floor`, and
+        its Kid: the triangular bindings its step made, renamed apart from
+        the clause, the names the child shows, and its floor.
 
         `shown` are the call's named variables. One map, the unifier, and
         one walk: the goals and the edge label are resolved through it
@@ -480,13 +457,13 @@ class _Builder:
         it puts into them. A step's binding whose value is ground is kept
         as it is; the others are resolved through the renaming."""
         if clause.variables:
-            fresh, floor = rename_clause(clause, self.path, node.floor,
+            fresh, floor = rename_clause(clause, self.path, floor,
                                          self.options.rename)
         else:  # what rename_clause gives a clause without variables
-            fresh, floor = {}, node.floor
+            fresh = {}
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
-            return _fail_leaf(), (), None
+            return _fail_leaf(), ((), None, floor)
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
         names: set[str] = set()
@@ -503,8 +480,8 @@ class _Builder:
         bindings = tuple([(v, t if t.ground else resolve(t, fresh, renamed))
                           for v, t in islice(sigma.items(), len(fresh),
                                              None)])
-        return (SearchNode(goals, label=EdgeLabel(label), floor=floor),
-                bindings, names)
+        return (SearchNode(goals, label=EdgeLabel(label)),
+                (bindings, names, floor))
 
 
 def build_tree(program: Program, query: GoalSeq,

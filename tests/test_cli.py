@@ -1,13 +1,18 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sldtree
 from sldtree.cli import (EXIT_ERROR, EXIT_NO_ANSWERS, EXIT_OK, EXIT_TRUNCATED,
                          FORMATS, RunConfig, main, run)
 from sldtree.engine import Limits
 from sldtree.fixtures import FIXTURES
+from test_golden import DB
 
 
 def invoke(cfg):
@@ -357,3 +362,43 @@ def test_run_rejects_a_bad_option_value(option):
 def test_main_list_fixtures(capsys):
     assert main(["--list-fixtures"]) == EXIT_OK
     assert "member:" in capsys.readouterr().out
+
+
+# -- a reader that stops reading -----------------------------------------------
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_is_an_error_not_no_answers():
+    err = io.StringIO()
+    code = run(RunConfig(db="romance", query="jealous(X, Y)"), ClosedPipe(),
+               err)
+    assert code == EXIT_ERROR
+    assert err.getvalue() == (
+        "error: cannot write the output ([Errno 32] Broken pipe)\n")
+
+
+def test_a_pipe_closed_early_exits_2_without_a_traceback():
+    # as `sldtree ... | head -c 100` does: the perm-5 drawing is far
+    # bigger than a pipe's buffer, so the command is still writing
+    script = "from sldtree.cli import main; raise SystemExit(main())"
+    src = str(Path(sldtree.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "--db", str(DB / "perm.pl"),
+         "--query", "perm([a,b,c,d,e],P)"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == EXIT_ERROR
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err

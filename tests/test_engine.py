@@ -31,14 +31,15 @@ def build(src, query, **kw):
     return build_tree(parse_program(src), parse_query(query), **kw)
 
 
-def expand(node, program, options=None):
+def expand(node, program, options=None, floor=1):
     """One expansion step on its own, for poking at the rules: the node's
-    children, and the bindings each child's step made."""
+    children, and for each the bindings its step made, the names it shows
+    and its floor."""
     builder = engine._Builder(program, Limits(), options or EngineOptions())
     builder.path = {v.name for v in goal_variables(
         (*node.goals, *chain(*node.label.bindings))) if not v.is_anonymous}
-    node.children, steps, _ = builder.expand(node, [])
-    return node.children, steps
+    node.children, kids = builder.expand(node, [], floor)
+    return node.children, kids
 
 
 def leaves(node):
@@ -842,10 +843,10 @@ def test_the_answer_paths_hold_memory_linear_in_the_depth():
 def test_expand_wrapper_steps_once():
     program = parse_program("p(a). p(b).")
     node = SearchNode(parse_query("p(X)"))
-    children, steps = expand(node, program)
+    children, kids = expand(node, program)
     assert node.children == children
     assert len(children) == 2
-    assert [[(v.name, term_text(t)) for v, t in s] for s in steps] == \
+    assert [[(v.name, term_text(t)) for v, t in s] for s, _, _ in kids] == \
         [[("X", "a")], [("X", "b")]]
     assert all(c.status is OPEN for c in children)
 

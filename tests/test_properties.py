@@ -714,11 +714,11 @@ CX, CY = CLAUSE_POOL[:2]
          Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)))), 1,
          "prime")
 def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
-    node = SearchNode((Call(call),), floor=floor)
+    node = SearchNode((Call(call),))
     want = copying_child(clause, call, floor, style)
     try:
-        (child,), (step,) = expand(node, Program([clause]),
-                                   EngineOptions(rename=style))
+        (child,), ((step, _, child_floor),) = expand(
+            node, Program([clause]), EngineOptions(rename=style), floor)
     except CyclicTermError as e:
         assert str(e) == want
         return
@@ -727,7 +727,7 @@ def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
         return
     bindings = resolved_bindings(dict(step), call)
     assert (seq_text(child.goals), child.label.lines(), bindings,
-            child.floor) == want
+            child_floor) == want
 
 
 # -- answers resolved at the leaves, against a per-node answer map ----------
@@ -786,9 +786,9 @@ def build_with_mgus(program, query, limits):
         made.append(real_unify(*args))
         return made[-1]
 
-    def clause_child(self, node, call, *args):
+    def clause_child(self, call, *args):
         try:
-            made_child = real_child(self, node, call, *args)
+            made_child = real_child(self, call, *args)
         except CyclicTermError:
             caught.raised_at = (call.term, made.pop())
             raise
@@ -916,17 +916,18 @@ def test_query_variables_print_as_aliases_when_they_share_a_value(
                 assert (root(x.name) == root(y.name)) == same, a.text()
 
 
-def paths_at_each_clause(program, query, limits):
+def paths_at_each_expansion(program, query, limits):
     """The tree, and (node, a copy of the builder's path set) at each
-    clause tried, caught as the builder tries them."""
+    node expanded, caught as the builder expands it: the set the clauses
+    tried for the node are renamed away from."""
     seen = []
-    real_child = engine._Builder._clause_child
+    real_expand = engine._Builder.expand
 
-    def clause_child(self, node, *args):
+    def expand(self, node, *args):
         seen.append((node, set(self.path)))
-        return real_child(self, node, *args)
+        return real_expand(self, node, *args)
 
-    with mock.patch.object(engine._Builder, "_clause_child", clause_child):
+    with mock.patch.object(engine._Builder, "expand", expand):
         tree = build_tree(program, query, limits)
     return tree, seen
 
@@ -943,8 +944,8 @@ def shown_names(node):
 @given(var_programs, var_queries)
 def test_the_path_set_holds_the_names_shown_from_the_root(program, query):
     try:
-        tree, seen = paths_at_each_clause(program, query,
-                                          Limits(max_depth=8, max_nodes=400))
+        tree, seen = paths_at_each_expansion(
+            program, query, Limits(max_depth=8, max_nodes=400))
     except CyclicTermError:
         return
     want = {}
@@ -965,9 +966,9 @@ def names_at_each_visit(program, query, limits):
     real_visit, real_goal_variables = (engine._Builder._visit,
                                        engine.goal_variables)
 
-    def visit(self, node, frames, names):
+    def visit(self, node, frames, names, floor):
         seen.append((node, names, set(self.path)))
-        return real_visit(self, node, frames, names)
+        return real_visit(self, node, frames, names, floor)
 
     def goal_variables_spy(goals):
         calls.append(goals)

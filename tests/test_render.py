@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from sldtree.engine import Limits, build_tree
+from sldtree import render
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import MIN_WIDTH, RenderOptions, render_text
@@ -250,3 +251,43 @@ def test_drawing_with_nested_drops_is_linear_in_its_output():
         tree = build((DB / "perm.pl").read_text(), f"perm([{items}],P)")
         return render_lines(tree) / len(render_text(tree))
     assert lines_per_byte("a,b,c,d") <= lines_per_byte("a,b,c")
+
+
+def perm(n):
+    items = ",".join("abcdefgh"[:n])
+    return build((DB / "perm.pl").read_text(), f"perm([{items}],P)")
+
+
+def fact_table(n):
+    return build(" ".join(f"t({i})." for i in range(n)), "t(X)")
+
+
+@pytest.mark.parametrize("shape, small, big",
+                         [(perm, 3, 4), (fact_table, 40, 80)],
+                         ids=("perm", "fact-table"))
+def test_each_byte_drawn_is_inked_a_bounded_number_of_times(
+        monkeypatch, shape, small, big):
+    # traced lines miss the copying done inside one C-level call, so this
+    # counts the characters of every row render._ink makes: the rows a
+    # paste paints into a block, and the drawing's. Per byte, perm 4 inks
+    # x1.35 what perm 3 does, as a block with a dropped child inks the
+    # rows above its last dropped band once more; a paste that repainted
+    # every row of its canvas would double it on the table, whose blocks
+    # paste once for each band they drop
+    inked = 0
+    real_ink = render._ink
+
+    def ink(runs):
+        nonlocal inked
+        row = real_ink(runs)
+        inked += len(row)
+        return row
+
+    monkeypatch.setattr(render, "_ink", ink)
+    per_byte = []
+    for n in (small, big):
+        tree = shape(n)
+        inked = 0
+        text = render_text(tree)
+        per_byte.append(inked / len(text))
+    assert per_byte[1] <= 1.5 * per_byte[0]
