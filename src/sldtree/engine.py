@@ -48,7 +48,8 @@ from .errors import InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, arg_keys, goal_text,
                  goal_variables)
-from .terms import Integer, Term, Variable, indicator, term_text, variables_of
+from .terms import (Compound, Integer, Term, Variable, indicator, term_text,
+                    variables_of)
 from .unify import RENAME_STYLES, rename_clause, resolve, unify
 
 # a step's triangular bindings, as (variable, value) pairs
@@ -134,21 +135,14 @@ class SearchTree:
 PathCell = tuple[int, "PathCell"] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself
 class Answer:
     bindings: tuple[tuple[Variable, Term], ...]
-    # the success leaf's path cell. == compares `path` in its place and
-    # hash() leaves it out: they would walk a chain of cells as deep as
-    # the tree by recursion
-    cell: PathCell = field(compare=False, repr=False)
+    # the success leaf's path cell; repr() leaves it out, as it would
+    # walk a chain of cells as deep as the tree by recursion
+    cell: PathCell = field(repr=False)
     # the query variables left unbound, which bound ones may share
     free: tuple[Variable, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Answer:
-            return NotImplemented
-        return ((self.bindings, self.free, self.path)
-                == (other.bindings, other.free, other.path))
 
     @property
     def path(self) -> tuple[int, ...]:
@@ -311,6 +305,10 @@ class _Builder:
         self.options = options
         self.query_vars = query_vars
         self.answers: list[Answer] = []
+        # the compounds the answers' values are made of, by functor and
+        # argument ids (see unify.resolve): the value at a success leaf
+        # shares what it can with the values at the leaves before it
+        self.shared: dict[tuple, Compound] = {}
         # the bindings of the steps from the root to the node in hand; a
         # variable bound on a path is gone from the goals below it, so no
         # path binds one twice, and taking a step's out deletes its keys
@@ -374,7 +372,8 @@ class _Builder:
         """Read the answer off the success leaf whose path cell is `cell`."""
         resolved: dict[Variable, Term] = {}
         qvars = self.query_vars
-        values = [resolve(v, self.env, resolved) for v in qvars]
+        values = [resolve(v, self.env, resolved, shared=self.shared)
+                  for v in qvars]
         # a query variable left unbound is not an answer binding
         self.answers.append(Answer(
             tuple((v, t) for v, t in zip(qvars, values) if t is not v),

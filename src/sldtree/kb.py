@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Union
 
 from .terms import (Atom, Compound, Frozen, Term, Variable, indicator,
-                    is_callable, term_text, variables_of, write)
+                    is_callable, variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
@@ -100,8 +100,7 @@ class Clause:
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
         """Head then body variables, first occurrence first."""
-        return tuple(dict.fromkeys(
-            variables_of(self.head) + goal_variables(self.body)))
+        return tuple(variables_of(self, _goal_pieces))
 
     @cached_property
     def head_keys(self) -> tuple:
@@ -155,67 +154,48 @@ def goal_text(g: Goal) -> str:
     return write(g, _goal_pieces)
 
 
-def _goal_pieces(g: Goal) -> tuple:
-    """What goal_text writes for g, in order: strings, terms and goals."""
-    if isinstance(g, Call):
-        return (g.term,)
-    if isinstance(g, TrueGoal):
+def _goal_pieces(x) -> tuple:
+    """What a goal, a goal sequence or a clause is made of, in order:
+    strings, terms, goals and goal sequences. terms.write reads the parts
+    as text, and terms.variables_of reads their variables."""
+    if type(x) is tuple:  # a goal sequence: its goals, ',' between them
+        return tuple([p for g in x for p in (",", g)][1:])
+    if isinstance(x, Call):
+        return (x.term,)
+    if isinstance(x, TrueGoal):
         return ("true",)
-    if isinstance(g, FailGoal):
+    if isinstance(x, FailGoal):
         return ("fail",)
-    if isinstance(g, Cut):
+    if isinstance(x, Cut):
         return ("!",)
-    if isinstance(g, Compare):
-        return (g.lhs, f" {g.op} ", g.rhs)
-    if isinstance(g, Disjunction):
-        return ("(", *_joined(g.left), ";", *_joined(g.right), ")")
-    if isinstance(g, Negation):
-        if len(g.inner) == 1 and isinstance(g.inner[0], Call):
-            return ("\\+ ", g.inner[0])
-        return ("\\+ (", *_joined(g.inner), ")")
-    raise TypeError(f"not a goal: {g!r}")
-
-
-def _joined(goals: GoalSeq) -> list:
-    """The goals with ',' between them."""
-    return [p for g in goals for p in (",", g)][1:]
+    if isinstance(x, Compare):
+        return (x.lhs, f" {x.op} ", x.rhs)
+    if isinstance(x, Disjunction):
+        return ("(", x.left, ";", x.right, ")")
+    if isinstance(x, Negation):
+        if len(x.inner) == 1 and isinstance(x.inner[0], Call):
+            return ("\\+ ", x.inner[0])
+        return ("\\+ (", x.inner, ")")
+    if isinstance(x, Clause):
+        if x.is_fact:
+            return (x.head, ".")
+        return (x.head, " :- ", x.body, ".")
+    raise TypeError(f"not a goal, goal sequence or clause: {x!r}")
 
 
 def seq_text(goals: GoalSeq) -> str:
-    return ",".join(goal_text(g) for g in goals)
+    return write(goals, _goal_pieces)
 
 
 def goal_variables(goals: GoalSeq) -> list[Variable]:
-    """Variables of a goal sequence, first occurrence first.
-
-    One walk over goals and terms alike, on an explicit stack, so a goal
-    nested any depth in ';' and '\\+' is no deeper for it than a flat one.
-    """
-    seen: dict[Variable, None] = {}
-    stack: list = list(reversed(goals))
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Variable):
-            seen.setdefault(item)
-        elif isinstance(item, Compound):
-            if not item.ground:
-                stack.extend(reversed(item.args))
-        elif isinstance(item, Call):
-            stack.append(item.term)
-        elif isinstance(item, Compare):
-            stack += item.rhs, item.lhs
-        elif isinstance(item, Disjunction):
-            stack.extend(reversed(item.left + item.right))
-        elif isinstance(item, Negation):
-            stack.extend(reversed(item.inner))
-    return list(seen)
+    """Variables of a goal sequence, first occurrence first, found on an
+    explicit stack, so a goal nested any depth in ';' and '\\+' is no
+    deeper for it than a flat one."""
+    return variables_of(goals, _goal_pieces)
 
 
 def clause_text(c: Clause) -> str:
-    head = term_text(c.head)
-    if c.is_fact:
-        return f"{head}."
-    return f"{head} :- {seq_text(c.body)}."
+    return write(c, _goal_pieces)
 
 
 __all__ = [

@@ -213,16 +213,27 @@ def list_parts(t: Term) -> tuple[list[Term], Term]:
     return items, t
 
 
-def variables_of(t: Term) -> list[Variable]:
-    """All variables in t, first occurrence first, no duplicates."""
+_NO_VARIABLES = frozenset((Atom, Integer, str))
+
+
+def variables_of(root, pieces=None) -> list[Variable]:
+    """All variables in root, first occurrence first, no duplicates.
+
+    Items are read as write() reads them: a term as itself, a str
+    skipped, and any other item as the items `pieces(item)` returns.
+    """
     seen: dict[Variable, None] = {}
-    stack = [t]
+    stack = [root]
     while stack:
-        term = stack.pop()
-        if isinstance(term, Variable):
-            seen.setdefault(term)
-        elif not term.ground:
-            stack.extend(reversed(term.args))
+        x = stack.pop()
+        tx = type(x)
+        if tx is Compound:
+            if not x.ground:
+                stack.extend(reversed(x.args))
+        elif tx is Variable:
+            seen.setdefault(x)
+        elif tx not in _NO_VARIABLES:
+            stack.extend(reversed(pieces(x)))
     return list(seen)
 
 

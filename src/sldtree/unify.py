@@ -19,7 +19,8 @@ from .terms import Compound, Term, Variable
 
 def resolve(t: Term, bindings: Mapping[Variable, Term],
             resolved: dict[Variable, Term],
-            names: set[str] | None = None) -> Term:
+            names: set[str] | None = None,
+            shared: dict[tuple, Compound] | None = None) -> Term:
     """t with each variable bound in `bindings` replaced by its value.
 
     `bindings` are triangular: a value may name variables bound in turn.
@@ -35,6 +36,12 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
     engine collects a step's shown names this way, in the walk that
     rewrites its goals. A ground term, an unbound variable, and a
     variable whose chain ends in one return before any stack is made.
+
+    A compound that must be rebuilt is first looked up in `shared`, if
+    given, by its functor and the ids of its new arguments, and made and
+    put there only when it is not found: values resolved with one table
+    share their compounds. The table holds each compound, and so its
+    arguments, so an id in a key stays that object's.
     """
     if t.ground:
         return t
@@ -63,7 +70,14 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
                 continue
             k = len(done) - len(term.args)
             if any(map(is_not, done[k:], term.args)):
-                term = Compound(term.functor, tuple(done[k:]))
+                args = tuple(done[k:])
+                if shared is None:
+                    term = Compound(term.functor, args)
+                else:
+                    key = (term.functor, *map(id, args))
+                    term = shared.get(key)
+                    if term is None:
+                        term = shared[key] = Compound(key[0], args)
             done[k:] = [term]
         elif item.ground:
             done.append(item)

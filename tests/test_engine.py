@@ -821,9 +821,6 @@ def disjunction_tree(n):
                  limits=Limits(max_depth=2 * n, max_nodes=4 * n))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 12: each success leaf resolves its answer from scratch, "
-    "so the answers share no subterm and hold memory quadratic in n"))
 def test_the_answers_hold_memory_linear_in_the_depth():
     # answers that shared the value their shallower sibling resolved
     # would grow linearly

@@ -291,3 +291,30 @@ def test_each_byte_drawn_is_inked_a_bounded_number_of_times(
         text = render_text(tree)
         per_byte.append(inked / len(text))
     assert per_byte[1] <= 1.5 * per_byte[0]
+
+
+def test_paint_slices_of_the_rows_are_linear_in_the_drawing(monkeypatch):
+    # neither traced lines nor inked characters see the entries a slice
+    # of `runs` copies inside _paint: an open-ended runs[top + k:] would
+    # copy every row below each block of the chain, 1 entry per output
+    # row becoming about depth / 2. So _paint is handed a list that
+    # counts the entries of each slice taken from it
+    taken = 0
+
+    class Runs(list):
+        def __getitem__(self, i):
+            nonlocal taken
+            got = list.__getitem__(self, i)
+            if type(i) is slice:
+                taken += len(got)
+            return got
+
+    real_paint = render._paint
+    monkeypatch.setattr(render, "_paint",
+                        lambda runs, stack: real_paint(Runs(runs), stack))
+    per_row = []
+    for depth in (200, 400):
+        taken = 0
+        text = render_text(chain(depth))
+        per_row.append(taken / text.count("\n"))
+    assert per_row[1] <= 1.5 * per_row[0]
