@@ -41,15 +41,90 @@ class Call(Frozen):
 _set_term = Call.term.__set__
 
 
-@dataclass(frozen=True)
-class Disjunction:
-    left: tuple["Goal", ...]
-    right: tuple["Goal", ...]
+class _Nest(Frozen):
+    """A goal that holds goal sequences, one per slot. ==, hash() and
+    repr() loop over an explicit stack, so a goal nested any depth in
+    ';' and '\\+' compares, hashes and prints as a flat one does; the
+    other goals and the terms do not recurse."""
+    __slots__ = ()
+
+    def _seqs(self) -> list[GoalSeq]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack: list = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Nest):
+                for x, y in zip(a._seqs(), b._seqs()):
+                    if len(x) != len(y):
+                        return False
+                    stack.extend(zip(x, y))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # the hash of the goal's pre-order tokens, a nest giving its class
+        # and the lengths of its sequences: equal goals give equal tokens
+        tokens: list = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, _Nest):
+                seqs = g._seqs()
+                tokens += type(g).__name__, *map(len, seqs)
+                for seq in reversed(seqs):
+                    stack.extend(reversed(seq))
+            else:
+                tokens.append(g)
+        return hash(tuple(tokens))
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # goals, and the text that goes between them
+        while stack:
+            g = stack.pop()
+            if type(g) is str:
+                out.append(g)
+            elif isinstance(g, _Nest):
+                out.append(f"{type(g).__name__}(")
+                parts: list = []
+                for name, seq in zip(g.__slots__, g._seqs()):
+                    parts.append(f"{name}=(")
+                    parts += [p for x in seq for p in (", ", x)][1:]
+                    parts += ",)" if len(seq) == 1 else ")", ", "
+                parts[-1] = ")"  # for the ", " after the last sequence
+                stack.extend(reversed(parts))
+            else:
+                out.append(repr(g))
+        return "".join(out)
 
 
-@dataclass(frozen=True)
-class Negation:
-    inner: tuple["Goal", ...]
+class Disjunction(_Nest):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: GoalSeq, right: GoalSeq) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+class Negation(_Nest):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: GoalSeq) -> None:
+        _set_inner(self, inner)
+
+
+_set_left = Disjunction.left.__set__
+_set_right = Disjunction.right.__set__
+_set_inner = Negation.inner.__set__
 
 
 @dataclass(frozen=True)

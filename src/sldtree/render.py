@@ -6,9 +6,12 @@ them side by side, then draw connector runs from the parent's anchor
 down to each child's anchor using /, | and \\ glyphs at
 integer-interpolated columns. Binding labels sit beside the runs; when
 a label does not fit it walks down its run, flips sides, and as a last
-resort the connector rows are made taller. No node is dropped, but text
-can be lost: a vertical run is drawn over any box or label in its way
-(perm([a,b,c],P) loses two strings so; ROADMAP item 4).
+resort the connector rows are made taller. Nothing is drawn over: each
+glyph of a run and each label tests its cells before it is written. A
+run steps outward past taken cells, a vertical one to the right, and a
+label that fits nowhere moves right. The blanks inside a quoted atom
+are blank cells too, so a run can still step into them (ROADMAP item
+4).
 The canvas a parent is drawn on grows to the left when a run or label
 reaches left of its origin; the block starts at its leftmost written
 cell.
@@ -21,8 +24,8 @@ budget is a soft target: a single over-wide leaf still renders whole.
 A child is not copied into its parent when it is placed: it stays a
 block of its own, kept as a placement at a row and column of its
 parent. The first time a run or label tests a cell while placements are
-kept, they are all pasted into the parent's rows, under what is written
-there, and the list is cleared. Only a dropped child's run or label tests
+kept, they are all pasted into the parent's rows, blank where they go,
+and the list is cleared. Only a dropped child's run or label tests
 cells after a child is placed, so a block keeps its rows, with every
 child pasted in, and the children placed after the last test.
 render_text then paints the drawing once, row by row, from one walk of
@@ -79,20 +82,12 @@ def _leaf_block(text: str) -> _Block:
 
 
 def _ink(runs: list[tuple[int, str]]) -> str:
-    """One row from its runs in walk order. Runs of one block or of
-    blocks side by side never overlap; where a block's run covers a cell
-    of its kid's (a vertical connector run does), the block wins, so the
-    runs are then painted from the last."""
+    """One row from its runs, which never overlap."""
     if len(runs) == 1:
         c, text = runs[0]
         return " " * c + text
     row = ""
     for c, text in sorted(runs):
-        if c < len(row):
-            cells = [" "] * max(c + len(t) for c, t in runs)
-            for c, text in reversed(runs):
-                cells[c:c + len(text)] = text
-            return "".join(cells)
         row += " " * (c - len(row)) + text
     return row
 
@@ -100,10 +95,10 @@ def _ink(runs: list[tuple[int, str]]) -> str:
 def _paint(runs: list[list[tuple[int, str]]],
            stack: list[tuple[_Block, int, int]]) -> list[str]:
     """The rows that `runs`, the (column, text) runs already on each row,
-    make with the blocks on `stack`, each (block, top row, left column),
-    painted under them. A block's runs come before its kids': whole rows
-    above its first kid, which nothing else in the block's columns
-    paints, and each written piece of a row from there down."""
+    make with the blocks on `stack`, each (block, top row, left column).
+    No two runs overlap. A block's runs are whole rows above its first
+    kid, which nothing else in the block's columns paints, and each
+    written piece of a row from there down."""
     while stack:
         b, top, left = stack.pop()
         rows, shift, kids = b.rows, b.shift, b.kids
@@ -132,9 +127,9 @@ class _Canvas:
 
     Placed blocks are kept as placements. The first `free` or
     `free_window` test while any are kept pastes them all into the
-    rows, under what is written there, and clears the list; a block
-    must be placed on blank rows, below every block placed before it or
-    beside those of its band."""
+    rows and clears the list; a block must be placed on blank rows,
+    below every block placed before it or beside those of its band, and
+    no cell may be written while placements are kept."""
 
     def __init__(self, offset: int):
         self.off = offset
@@ -161,7 +156,7 @@ class _Canvas:
 
     def paste(self) -> None:
         """Paint the placed blocks into the rows from the first one's
-        down, under what is written there, and forget them."""
+        down, where the rows are blank, and forget them."""
         rows, lo = self.rows, self.kids[0][1]
         end = max(r + b.height for b, r, _ in self.kids)
         rows.extend([""] * (end - len(rows)))
@@ -250,10 +245,23 @@ def _run_glyph(parent: int, anchor: int) -> str:
 
 
 def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
-                 height: int, prefer_left: bool,
-                 prefer_bottom: bool = False) -> bool:
+                 height: int, prefer_left: bool, prefer_bottom: bool = False,
+                 force: bool = False) -> bool:
+    """Write `lines` beside the run from `parent` to `anchor` on free
+    cells, a blank cell on either side of each, and say whether they
+    fit. Under `force` they always do: at the first start row, right of
+    the run, and as far right as the free cells are."""
     if not lines:
         return True
+
+    def put(rows: range, base: int) -> bool:
+        if not all(canvas.free(r, base - 1, base + len(t) + 1)
+                   for r, t in zip(rows, lines)):
+            return False
+        for r, t in zip(rows, lines):
+            canvas.write(r, base, t)
+        return True
+
     # every caller passes height > len(lines), so each start row fits
     start_rows = list(range(max(1, (height + 1 - len(lines)) // 2),
                             height - len(lines) + 2))
@@ -262,21 +270,23 @@ def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
     sides = (True, False) if prefer_left else (False, True)
     for start in start_rows:
         rows = range(start, start + len(lines))
+        cols = [_run_col(parent, anchor, r, height) for r in rows]
         for left in sides:
-            cols = [_run_col(parent, anchor, r, height) for r in rows]
             if left:
                 # one shared left edge, lines never crossing their run
                 base = min(c - 1 - len(t) for c, t in zip(cols, lines))
-                spots = [(r, base, t) for r, t in zip(rows, lines)]
             else:
                 base = max(cols) + 2
-                spots = [(r, base, t) for r, t in zip(rows, lines)]
-            if all(canvas.free(r, c - 1, c + len(t) + 1)
-                   for r, c, t in spots):
-                for r, c, t in spots:
-                    canvas.write(r, c, t)
+            if put(rows, base):
                 return True
-    return False
+    if not force:
+        return False
+    rows = range(start_rows[0], start_rows[0] + len(lines))
+    base = max(_run_col(parent, anchor, r, height) for r in rows) + 2
+    # cells past the end of a row are free, so this ends
+    while not put(rows, base):
+        base += 1
+    return True
 
 
 def _draw_run(canvas: _Canvas, parent: int, anchor: int,
@@ -286,9 +296,8 @@ def _draw_run(canvas: _Canvas, parent: int, anchor: int,
     step = -1 if anchor < parent else 1
     for r in range(top, bottom + 1):
         col = _run_col(parent, anchor, r, total)
-        if glyph != "|":
-            col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
-                                     step) + clearance
+        col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
+                                 step) + clearance
         canvas.write(r, col, glyph)
 
 
@@ -345,7 +354,7 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
     for i in kept:
         prefer_left = anchors[i] < parent
         if not _place_label(canvas, labels[i], parent, anchors[i], h,
-                            prefer_left) and not force:
+                            prefer_left, force=force):
             return None
     bottom = h
     for i in kept:
@@ -358,8 +367,8 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
         anchor = left + blocks[i].anchor
         _draw_run(canvas, parent, anchor, 1, top - 1, top, clearance=1)
         if not _place_label(canvas, labels[i], parent, anchor, top - 1,
-                            anchor < parent,
-                            prefer_bottom=True) and not force:
+                            anchor < parent, prefer_bottom=True,
+                            force=force):
             return None
         canvas.place(blocks[i], top, left)
         bottom = top + blocks[i].height - 1

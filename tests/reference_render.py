@@ -113,10 +113,23 @@ def _run_glyph(parent: int, anchor: int) -> str:
 
 
 def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
-                 height: int, prefer_left: bool,
-                 prefer_bottom: bool = False) -> bool:
+                 height: int, prefer_left: bool, prefer_bottom: bool = False,
+                 force: bool = False) -> bool:
+    """Write `lines` beside the run from `parent` to `anchor` on free
+    cells, a blank cell on either side of each, and say whether they
+    fit. Under `force` they always do: at the first start row, right of
+    the run, and as far right as the free cells are."""
     if not lines:
         return True
+
+    def put(rows: range, base: int) -> bool:
+        if not all(canvas.free(r, base - 1, base + len(t) + 1)
+                   for r, t in zip(rows, lines)):
+            return False
+        for r, t in zip(rows, lines):
+            canvas.write(r, base, t)
+        return True
+
     # every caller passes height > len(lines), so each start row fits
     start_rows = list(range(max(1, (height + 1 - len(lines)) // 2),
                             height - len(lines) + 2))
@@ -125,21 +138,23 @@ def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
     sides = (True, False) if prefer_left else (False, True)
     for start in start_rows:
         rows = range(start, start + len(lines))
+        cols = [_run_col(parent, anchor, r, height) for r in rows]
         for left in sides:
-            cols = [_run_col(parent, anchor, r, height) for r in rows]
             if left:
                 # one shared left edge, lines never crossing their run
                 base = min(c - 1 - len(t) for c, t in zip(cols, lines))
-                spots = [(r, base, t) for r, t in zip(rows, lines)]
             else:
                 base = max(cols) + 2
-                spots = [(r, base, t) for r, t in zip(rows, lines)]
-            if all(canvas.free(r, c - 1, c + len(t) + 1)
-                   for r, c, t in spots):
-                for r, c, t in spots:
-                    canvas.write(r, c, t)
+            if put(rows, base):
                 return True
-    return False
+    if not force:
+        return False
+    rows = range(start_rows[0], start_rows[0] + len(lines))
+    base = max(_run_col(parent, anchor, r, height) for r in rows) + 2
+    # cells past the end of a row are free, so this ends
+    while not put(rows, base):
+        base += 1
+    return True
 
 
 def _draw_run(canvas: _Canvas, parent: int, anchor: int,
@@ -149,9 +164,8 @@ def _draw_run(canvas: _Canvas, parent: int, anchor: int,
     step = -1 if anchor < parent else 1
     for r in range(top, bottom + 1):
         col = _run_col(parent, anchor, r, total)
-        if glyph != "|":
-            col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
-                                     step) + clearance
+        col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
+                                 step) + clearance
         canvas.write(r, col, glyph)
 
 
@@ -214,7 +228,7 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
     for i in kept:
         prefer_left = anchors[i] < parent
         if not _place_label(canvas, labels[i], parent, anchors[i], h,
-                            prefer_left) and not force:
+                            prefer_left, force=force):
             return None
     bottom = h
     for i in kept:
@@ -227,8 +241,8 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
         anchor = left + blocks[i].anchor
         _draw_run(canvas, parent, anchor, 1, top - 1, top, clearance=1)
         if not _place_label(canvas, labels[i], parent, anchor, top - 1,
-                            anchor < parent,
-                            prefer_bottom=True) and not force:
+                            anchor < parent, prefer_bottom=True,
+                            force=force):
             return None
         _paste(canvas, blocks[i], top, left)
         bottom = top + blocks[i].height - 1

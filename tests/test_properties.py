@@ -6,9 +6,10 @@ equivalent plain document is the oracle it must match byte for byte.
 On documents with a few corruptions, deserialize() must report the
 error, its place and its message, that a recursive reader finds first.
 The canvas search for a free connector column must agree with a
-column-by-column loop over free(), and with blocks placed among the
-writes, free() and free_window() must see a cell dictionary in which
-written cells win over placed ones. unify() must agree with a textbook
+column-by-column loop over free(), and with blocks placed on blank
+cells among writes that test their cells first, free() and
+free_window() must see a cell dictionary of every cell placed or
+written. unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
 without unifying must not unify with the call. unify() must also bind
 the same variables to the same terms, in the same order, as its earlier
@@ -236,31 +237,35 @@ canvas_ops = st.lists(st.one_of(
 
 @given(st.integers(0, 6), canvas_ops, st.integers(0, 6),
        st.integers(-20, 30), st.integers(1, 5), st.sampled_from((1, -1)))
-def test_canvas_pastes_placed_blocks_under_what_is_written(
+def test_canvas_pastes_placed_blocks_onto_blank_cells(
         offset, ops, r, c, width, step):
-    # the model: a placed block's cells go in under the written ones at
-    # the first test after it is placed; a write then wins, a blank too.
-    # The blocks go down the rows, side by side on one row, as the
-    # layout places its children
-    canvas, cells, placed, top, right = _Canvas(offset), {}, [], 0, 0
+    # the model: a block is placed only on cells it holds blank, and goes
+    # in whole; while blocks are placed, a write first tests its cells,
+    # as a run or a label does, and is made only if they are blank. A
+    # later write wins, a blank too. The blocks go down the rows, side
+    # by side on one row, as the layout places its children
+    canvas, cells, top, right = _Canvas(offset), {}, 0, 0
 
     def blank(r, c0, c1):
-        for row, col, text in placed:
-            for k, ch in enumerate(text):
-                if ch != " " and cells.get((row, col + k), " ") == " ":
-                    cells[row, col + k] = ch
-        placed.clear()
         return all(cells.get((r, c), " ") == " " for c in range(c0, c1))
 
     for kind, row, col, x in ops:
         if kind == "w":
+            end = col + len(x)
+            if canvas.kids:
+                free = canvas.free(row, col, end)
+                assert free == blank(row, col, end)
+                if not free:
+                    continue
             canvas.write(row, col, x)
             cells.update(((row, col + k), ch) for k, ch in enumerate(x))
         elif kind == "p":
-            top, right = top + row, right * (not row) + col
-            canvas.place(_leaf_block(x), top, right)
-            placed.append((top, right, x))
-            right += len(x)
+            at, left = top + row, right * (not row) + col
+            if not blank(at, left, left + len(x)):
+                continue
+            canvas.place(_leaf_block(x), at, left)
+            cells.update(((at, left + k), ch) for k, ch in enumerate(x))
+            top, right = at, left + len(x)
         else:
             assert canvas.free(row, col, col + x) == blank(row, col, col + x)
     want = c

@@ -8,7 +8,8 @@ from sldtree import render
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import MIN_WIDTH, RenderOptions, render_text
-from sldtree.serialize import deserialize, serialize, to_view
+from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, deserialize,
+                               serialize, to_view)
 from test_golden import DB
 
 GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
@@ -197,14 +198,32 @@ def shown_strings(view):
     return out
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: the drawing loses [perm([c],T''')] and H'''''=c"))
 def test_perm_3_draws_every_goal_list_and_label():
+    # a dropped child's vertical run once wrote over two of them
     tree = build((DB / "perm.pl").read_text(), "perm([a,b,c],P)")
     text = render_text(tree, RenderOptions(max_width=120))
     wanted = shown_strings(to_view(tree))
     assert len(wanted) == 129
     assert [s for s in wanted if s not in text] == []
+
+
+def _open(goals=(), kids=()) -> ViewNode:
+    return ViewNode(tuple(goals), "open",
+                    tuple(ViewEdge((), kid) for kid in kids))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: only a space is a blank cell, so a run steps into "
+    "the blanks inside a quoted atom"))
+def test_a_run_does_not_step_into_the_blanks_of_a_quoted_atom():
+    # the first and last kids are dropped onto bands of their own; the
+    # last one's run crosses the first one's band, and the three blanks
+    # inside 'a   b' are the free cells it steps to
+    goals = ["p('a   b')"] * 2
+    view = ViewTree(_open((), [_open(goals)] + [_open()] * 5
+                          + [_open((), [_open()] * 4)]), False)
+    text = render_text(view, RenderOptions(max_width=40))
+    assert "[p('a   b'),p('a   b')]" in text.splitlines()
 
 
 def render_lines(tree):

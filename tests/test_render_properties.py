@@ -1,4 +1,5 @@
-"""The drawing against the pasting layout it replaced.
+"""The drawing against the pasting layout it replaced, and what it must
+show.
 
 render_text keeps each child block where it is placed and paints the
 drawing once; tests/reference_render.py keeps the layout that pasted
@@ -10,6 +11,11 @@ fixture and every program in tests/golden/db, at widths 40, 60 and 120.
 
 Goals and labels are generated as the printer writes them: spaces
 inside, never whitespace at either end.
+
+On the same programs and widths, and on two trees that once lost text,
+every open node's goal list and every label line of an edge that is not
+pruned is drawn on one line, and the canvas writes each run and label
+only on blank cells, with no child block waiting to be pasted.
 """
 from pathlib import Path
 
@@ -21,12 +27,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_render import reference_render
+from sldtree import render
 from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, fixture_names, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import ViewEdge, ViewNode, ViewTree, to_view
 from test_golden import DB, DRAWN, SCALED
+from test_render import _open, perm, shown_strings
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -67,12 +75,7 @@ def _flat(n: int) -> ViewTree:
     return ViewTree(ViewNode(("p(X,Y)", "V < 10"), "open", edges), False)
 
 
-def _open(goals=(), kids=()) -> ViewNode:
-    return ViewNode(tuple(goals), "open",
-                    tuple(ViewEdge((), kid) for kid in kids))
-
-
-# a dropped child's vertical run crosses a kept child, and wins its cells
+# a dropped child's vertical run meets a kept child and steps around it
 _CROSSED = ViewTree(_open((), [_open(), _open(["p(X)"] * 2),
                                _open((), [_open()] * 4), _open()]), False)
 
@@ -115,3 +118,56 @@ def test_programs_draw_as_the_pasting_layout_does(db, query, limits):
     for width in (40, 60, 120):
         assert render_text(view, RenderOptions(max_width=width)) == (
             reference_render(view, width)), width
+
+
+def _missing(view: ViewTree, width: int) -> list[str]:
+    """The strings of shown_strings(view) that no line of its drawing at
+    `width` holds."""
+    lines = render_text(view, RenderOptions(max_width=width)).splitlines()
+    return [s for s in shown_strings(view)
+            if not any(s in line for line in lines)]
+
+
+@pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
+                         ids=[c[0] for c in _cases()])
+def test_programs_draw_every_goal_list_and_label(db, query, limits):
+    view = to_view(build_tree(_program(db), parse_query(query), limits))
+    for width in (40, 60, 120):
+        assert _missing(view, width) == [], width
+
+
+@pytest.mark.parametrize("view", [_CROSSED, _flat(12)],
+                         ids=("crossed", "flat-12"))
+def test_runs_and_forced_labels_draw_every_string(view):
+    # a vertical run once wrote over [p(X),p(X)] in the first; the second
+    # forces its compose, which once skipped the labels that did not fit
+    assert _missing(view, 40) == []
+
+
+def _views_written():
+    """(name, view, width): the cases at widths 40, 60 and 120, perm 3
+    and the crossed tree."""
+    for name, db, query, limits in _cases():
+        view = to_view(build_tree(_program(db), parse_query(query), limits))
+        for width in (40, 60, 120):
+            yield name, view, width
+    yield "perm-3", to_view(perm(3)), 120
+    yield "crossed", _CROSSED, 40
+
+
+def test_every_write_lands_on_blank_cells_with_no_block_placed(monkeypatch):
+    # every run glyph and label tests its cells first, and a test pastes
+    # the placed blocks, so nothing is ever drawn over
+    real_write = render._Canvas.write
+    where = None
+
+    def write(canvas, r, c, text):
+        placed = len(canvas.kids)
+        assert placed == 0, (where, r, c, text)
+        assert canvas.free(r, c, c + len(text)), (where, r, c, text)
+        real_write(canvas, r, c, text)
+
+    monkeypatch.setattr(render._Canvas, "write", write)
+    for name, view, width in _views_written():
+        where = name, width
+        render_text(view, RenderOptions(max_width=width))

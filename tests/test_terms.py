@@ -3,10 +3,13 @@ import sys
 import pytest
 
 from sldtree.kb import Call, Compare, Disjunction, Negation, goal_variables
-from sldtree.reader import parse_term
+from sldtree.reader import parse_query, parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
                            indicator, is_callable, list_parts, list_term,
                            term_text, variables_of)
+
+
+P_A = Call(parse_term("p(a)"))
 
 
 def test_variable_identity_is_the_object_not_the_name():
@@ -56,6 +59,8 @@ def test_ground_marks_compounds_without_variables():
     (Compound("f", (Atom("a"),)), "args"),
     (Compound("f", (Atom("a"),)), "ground"),
     (Call(Atom("p")), "term"),
+    (Disjunction((Call(Atom("p")),), ()), "left"),
+    (Negation((Call(Atom("p")),)), "inner"),
 ])
 def test_terms_and_goals_are_immutable(obj, field):
     # a frozen dataclass raises FrozenInstanceError, an AttributeError
@@ -72,6 +77,10 @@ def test_terms_and_goals_repr():
     assert repr(Compound("g", (Atom("[]"),))) == "Compound('g', (Atom('[]')))"
     assert repr(Call(t)) == ("Call(term=Compound('f', (Variable('X'), "
                              "Atom('a'), Integer(-3))))")
+    p, q = Call(Atom("p")), Call(Atom("q"))
+    assert repr(Disjunction((p,), (q, Negation(())))) == (
+        "Disjunction(left=(Call(term=Atom('p')),), "
+        "right=(Call(term=Atom('q')), Negation(inner=())))")
 
 
 def test_terms_nested_100000_deep_compare_hash_and_repr_at_the_default_limit():
@@ -83,6 +92,29 @@ def test_terms_nested_100000_deep_compare_hash_and_repr_at_the_default_limit():
     other = parse_term(text.replace("a", "b"))  # differs at the innermost leaf
     assert one != other and not one == other
     assert repr(one) == "Compound('f', (" * n + "Atom('a')" + "))" * n
+
+
+@pytest.mark.parametrize("opener, nest", [
+    ("(p(a);", lambda seq: Disjunction((P_A,), seq)),
+    ("\\+ (", Negation),
+], ids=("disjunction", "negation"))
+def test_goals_nested_100000_deep_compare_hash_and_repr_at_the_default_limit(
+        opener, nest):
+    n = 100_000
+    (one,) = parse_query(opener * n + "p(a)" + ")" * n)
+
+    def built(leaf):
+        seq = (leaf,)
+        for _ in range(n):
+            seq = (nest(seq),)
+        return seq[0]
+    two = built(P_A)
+    assert one == two
+    assert hash(one) == hash(two)
+    other = built(Call(parse_term("p(b)")))  # differs at the innermost goal
+    assert one != other
+    head = repr(nest((P_A,)))[:-len(repr(P_A) + ",))")]
+    assert repr(one) == head * n + repr(P_A) + ",))" * n
 
 
 def test_variables_of_first_occurrence_order():
