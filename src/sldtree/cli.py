@@ -2,8 +2,8 @@
 search tree and the answers.
 
 Exit codes: 0 at least one answer, 1 no answers, 2 usage, parse, engine
-or internal error, or output that cannot be written, 3 tree truncated by
-resource limits.
+or internal error, out of memory, or output that cannot be written, 3
+tree truncated by resource limits.
 """
 from __future__ import annotations
 
@@ -106,6 +106,7 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         print(f"error: {cfg.db} is not UTF-8 text ({e})", file=err)
         return EXIT_ERROR
 
+    error = None
     try:
         program = parse_program(db_text)
         query = parse_query(cfg.query)
@@ -118,22 +119,25 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         else:
             drawing = None
         answers_text = _answers_section(answers)
-    except PrologError as e:
-        print(f"error: {e}", file=err)
-        return EXIT_ERROR
-    except RecursionError as e:
-        # an internal limit, never to be mistaken for "no answers"
-        print(f"error: nested too deeply for this interpreter ({e})", file=err)
-        return EXIT_ERROR
-
-    try:
         if drawing is not None:
             out.write(drawing)
             out.write("\n")
         out.write(answers_text)
         out.flush()
+    except PrologError as e:
+        error = str(e)
+    except RecursionError as e:
+        # an internal limit, never to be mistaken for "no answers"
+        error = f"nested too deeply for this interpreter ({e})"
     except OSError as e:  # a closed pipe, a full disk
-        print(f"error: cannot write the output ({e})", file=err)
+        error = f"cannot write the output ({e})"
+    except MemoryError:
+        # the error is told once the tree and the drawing, and the frames
+        # the exception holds, are let go
+        tree = drawing = None
+        error = "out of memory"
+    if error is not None:
+        print(f"error: {error}", file=err)
         return EXIT_ERROR
 
     if tree.truncated:

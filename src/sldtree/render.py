@@ -1,20 +1,19 @@
 """ASCII layout for search trees.
 
-Each node becomes a block with an anchor column (the center of its top
-line). A parent block is built bottom-up: lay out the children, place
-them side by side, then draw connector runs from the parent's anchor
-down to each child's anchor using /, | and \\ glyphs at
-integer-interpolated columns. Binding labels sit beside the runs; when
-a label does not fit it walks down its run, flips sides, and as a last
-resort the connector rows are made taller. Nothing is drawn over: each
-glyph of a run and each label tests its cells before it is written. A
-run steps outward past taken cells, a vertical one to the right, and a
-label that fits nowhere moves right. The blanks inside a quoted atom
-are blank cells too, so a run can still step into them (ROADMAP item
-4).
-The canvas a parent is drawn on grows to the left when a run or label
-reaches left of its origin; the block starts at its leftmost written
-cell.
+Each node, read through serialize.node_parts() when the layout reaches
+it, becomes a block with an anchor column (the center of its top line).
+A parent block is built bottom-up: lay out the children, place them
+side by side, then draw connector runs from the parent's anchor down to
+each child's anchor using /, | and \\ glyphs at integer-interpolated
+columns. Binding labels sit beside the runs; when a label does not fit
+it walks down its run, flips sides, and as a last resort the connector
+rows are made taller. Nothing is drawn over: each glyph of a run and
+each label tests its cells before it is written. A run steps outward
+past taken cells, a vertical one to the right, and a label that fits
+nowhere moves right. The blanks inside a quoted atom are blank cells
+too, so a run can still step into them (ROADMAP item 4). The canvas a
+parent is drawn on grows to the left when a run or label reaches left
+of its origin; the block starts at its leftmost written cell.
 
 When a row of children is wider than the width budget, the widest
 children are dropped out of the row one by one and drawn below the
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .engine import SearchTree
-from .serialize import ViewEdge, ViewNode, ViewTree, fold, to_view
+from .serialize import Parts, ViewTree, fold, node_parts
 
 MIN_WIDTH = 40
 # what a leaf that is not an open goal list is drawn as, by status
@@ -222,16 +221,6 @@ class _Canvas:
                       right - left, height, anchor - left)
 
 
-def _node_text(node: ViewNode) -> str:
-    return GLYPHS.get(node.status) or f"[{','.join(node.goals)}]"
-
-
-def _label_lines(edge: ViewEdge) -> list[str]:
-    if edge.node.status == "pruned":
-        return []
-    return [f"{name}={text}" for name, text in edge.label]
-
-
 def _run_col(parent: int, anchor: int, row: int, height: int) -> int:
     return parent + ((anchor - parent) * row) // height
 
@@ -301,10 +290,11 @@ def _draw_run(canvas: _Canvas, parent: int, anchor: int,
         canvas.write(r, col, glyph)
 
 
-def _compose(text: str, edges: tuple[ViewEdge, ...],
-             blocks: list[_Block], max_width: int) -> _Block:
+def _compose(text: str, edges: list, blocks: list[_Block],
+             max_width: int) -> _Block:
     n = len(blocks)
-    labels = [_label_lines(e) for e in edges]
+    labels = [[] if status == "pruned" else [f"{k}={t}" for k, t in label]
+              for label, status, _ in edges]
     max_label = max((len(t) for ls in labels for t in ls), default=0)
 
     kept = list(range(n))
@@ -376,18 +366,19 @@ def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
     return canvas.block(parent)
 
 
-def _layout(root: ViewNode, max_width: int) -> _Block:
-    def block(node: ViewNode, blocks: list[_Block]) -> _Block:
-        text = _node_text(node)
+def _layout(tree: SearchTree | ViewTree, max_width: int) -> _Block:
+    def block(parts: Parts, blocks: list[_Block]) -> _Block:
+        text = GLYPHS.get(parts[1]) or f"[{','.join(parts[0])}]"
         if not blocks:
             return _leaf_block(text)
-        return _compose(text, node.children, blocks, max_width)
-    return fold(root, lambda n: [e.node for e in n.children], block)
+        return _compose(text, parts[2], blocks, max_width)
+    return fold(node_parts(tree.root),
+                lambda p: [node_parts(c) for _, _, c in p[2]], block)
 
 
 def render_text(tree: SearchTree | ViewTree,
                 options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
-    block = _layout(to_view(tree).root, opts.max_width)
+    block = _layout(tree, opts.max_width)
     runs: list[list[tuple[int, str]]] = [[] for _ in range(block.height)]
     return "\n".join(_paint(runs, [(block, 0, 0)])) + "\n"

@@ -3,8 +3,9 @@
 The format is a fixed-shape JSON document: stable key order, two-space
 indent, no ASCII escaping, one trailing newline. Identical trees
 serialize to identical bytes, which is what golden tests and graders
-diff against. deserialize() gives back a render-level view (goals and
-labels as text) and is the exact inverse on serialize's output.
+diff against. Both writers read a node through node_parts() when they
+reach it. deserialize() gives back a ViewTree, the tree as text, and
+is the exact inverse on serialize's output.
 """
 from __future__ import annotations
 
@@ -77,20 +78,27 @@ def fold(root: _N, kids: Callable[[_N], Sequence[_N]],
     return done[0]
 
 
-def _node_view(node: SearchNode, views: list[ViewNode]) -> ViewNode:
-    children = tuple(
-        ViewEdge(tuple((v.name, term_text(t)) for v, t in c.label.bindings),
-                 view)
-        for c, view in zip(node.children, views))
-    return ViewNode(tuple(goal_text(g) for g in node.goals),
-                    node.status.value, children)
+# a node as text: its goal texts, its status and, per child, the label's
+# (name, text) pairs, the child's status and the child
+Parts = tuple[tuple[str, ...], str, list[tuple[tuple, str, object]]]
+
+
+def node_parts(node: SearchNode | ViewNode) -> Parts:
+    if isinstance(node, ViewNode):
+        return node.goals, node.status, [(e.label, e.node.status, e.node)
+                                         for e in node.children]
+    return (tuple(map(goal_text, node.goals)), node.status.value,
+            [(tuple((v.name, term_text(t)) for v, t in c.label.bindings),
+              c.status.value, c) for c in node.children])
 
 
 def to_view(tree: SearchTree | ViewTree) -> ViewTree:
-    if isinstance(tree, ViewTree):
-        return tree
-    return ViewTree(fold(tree.root, lambda n: n.children, _node_view),
-                    tree.truncated)
+    def view(parts: Parts, kids: list[ViewNode]) -> ViewNode:
+        return ViewNode(parts[0], parts[1], tuple(
+            ViewEdge(e[0], kid) for e, kid in zip(parts[2], kids)))
+    root = fold(node_parts(tree.root),
+                lambda p: [node_parts(c) for _, _, c in p[2]], view)
+    return ViewTree(root, tree.truncated)
 
 
 def _array(out: list[str], items: list[tuple[str, ...]], inner: str,
@@ -114,16 +122,15 @@ def serialize(tree: SearchTree | ViewTree) -> str:
     """The bytes of json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
     written in one pre-order walk. Indents are shared pieces, built
     once per level, so a deep tree costs no more than its text."""
-    view = to_view(tree)
     q = encode_basestring
     nl = ["\n"]  # nl[k]: a line break and the indent of level k
     out = ['{\n  "format": ', q(FORMAT_NAME),
-           ',\n  "truncated": ', "true" if view.truncated else "false",
+           ',\n  "truncated": ', "true" if tree.truncated else "false",
            ',\n  "root": ']
     # (pieces to append, then the node to open or None, the node's
     # level: that of its closing brace, its keys one deeper)
-    stack: list[tuple[list[str] | tuple[str, ...], ViewNode | None, int]]
-    stack = [(("\n}\n",), None, 0), ((), view.root, 1)]
+    stack: list[tuple[list[str] | tuple[str, ...], object, int]]
+    stack = [(("\n}\n",), None, 0), ((), tree.root, 1)]
     while stack:
         pieces, node, d = stack.pop()
         out.extend(pieces)
@@ -132,24 +139,25 @@ def serialize(tree: SearchTree | ViewTree) -> str:
         while len(nl) < d + 6:
             nl.append(nl[-1] + "  ")
         i0, i1, i2, i3, i4, i5 = nl[d:d + 6]
+        goals, status, edges = node_parts(node)
         out.extend(("{", i1, '"goals": '))
-        _array(out, [(q(g),) for g in node.goals], i2, i1)
-        out.extend((",", i1, '"status": ', q(node.status),
+        _array(out, [(q(g),) for g in goals], i2, i1)
+        out.extend((",", i1, '"status": ', q(status),
                     ",", i1, '"children": '))
-        if not node.children:
+        if not edges:
             out.extend(("[]", i0, "}"))
             continue
         out.append("[")
         stack.append(((i1, "]", i0, "}"), None, 0))
-        last = len(node.children) - 1
+        last = len(edges) - 1
         for k in range(last, -1, -1):
-            edge = node.children[k]
+            label, _, child = edges[k]
             stack.append(((i2, "},") if k < last else (i2, "}"), None, 0))
             head = [i2, "{", i3, '"label": ']
             _array(head, [("[", i5, q(n), ",", i5, q(t), i4, "]")
-                          for n, t in edge.label], i4, i3)
+                          for n, t in label], i4, i3)
             head.extend((",", i3, '"node": '))
-            stack.append((head, edge.node, d + 3))
+            stack.append((head, child, d + 3))
     return "".join(out)
 
 

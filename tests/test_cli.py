@@ -380,17 +380,22 @@ def test_a_closed_output_is_an_error_not_no_answers():
         "error: cannot write the output ([Errno 32] Broken pipe)\n")
 
 
-def test_a_pipe_closed_early_exits_2_without_a_traceback():
-    # as `sldtree ... | head -c 100` does: the perm-5 drawing is far
-    # bigger than a pipe's buffer, so the command is still writing
+def command(*args: str) -> dict:
+    """subprocess keyword arguments that run the command line of this
+    source tree with `args`."""
     script = "from sldtree.cli import main; raise SystemExit(main())"
     src = str(Path(sldtree.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, "--db", str(DB / "perm.pl"),
-         "--query", "perm([a,b,c,d,e],P)"], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return dict(args=[sys.executable, "-c", script, *args], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_a_pipe_closed_early_exits_2_without_a_traceback():
+    # as `sldtree ... | head -c 100` does: the perm-5 drawing is far
+    # bigger than a pipe's buffer, so the command is still writing
+    proc = subprocess.Popen(**command("--db", str(DB / "perm.pl"),
+                                      "--query", "perm([a,b,c,d,e],P)"))
     try:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -402,3 +407,31 @@ def test_a_pipe_closed_early_exits_2_without_a_traceback():
     assert code == EXIT_ERROR
     assert err.count("error:") == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# -- out of memory -------------------------------------------------------------
+
+# the address space each child below may use, set in the child alone
+MEMORY_LIMIT = 300 * 2 ** 20
+
+
+def _limit_memory():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS bounds the address space on Linux")
+@pytest.mark.parametrize("db, query, args", [
+    # ascii: about 400 MB of drawing
+    ("n(0).\nn(succ(X)) :- n(X).\n", "n(X)", ["--max-depth", "1202"]),
+    # canonical: a document of about 800 MB, most of it indents
+    ("p :- p.\n", "p", ["--format", "canonical", "--max-depth", "5000"]),
+], ids=("nat-ascii", "chain-canonical"))
+def test_out_of_memory_is_an_error_not_no_answers(tmp_path, db, query, args):
+    path = tmp_path / "db.pl"
+    path.write_text(db)
+    kwargs = command("--db", str(path), "--query", query, *args)
+    proc = subprocess.run(**kwargs, preexec_fn=_limit_memory, timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_ERROR, "error: out of memory\n")

@@ -1,5 +1,5 @@
-"""The drawing against the pasting layout it replaced, and what it must
-show.
+"""The drawing against the pasting layout it replaced, what it must
+show, and that both kinds of node write the same text.
 
 render_text keeps each child block where it is placed and paints the
 drawing once; tests/reference_render.py keeps the layout that pasted
@@ -15,7 +15,9 @@ inside, never whitespace at either end.
 On the same programs and widths, and on two trees that once lost text,
 every open node's goal list and every label line of an edge that is not
 pruned is drawn on one line, and the canvas writes each run and label
-only on blank cells, with no child block waiting to be pasted.
+only on blank cells, with no child block waiting to be pasted. These
+draw the SearchTree itself, as the command line does; a tree and its
+to_view() copy are written to the same bytes by both writers.
 """
 from pathlib import Path
 
@@ -32,7 +34,8 @@ from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, fixture_names, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
-from sldtree.serialize import ViewEdge, ViewNode, ViewTree, to_view
+from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, serialize,
+                               to_view)
 from test_golden import DB, DRAWN, SCALED
 from test_render import _open, perm, shown_strings
 
@@ -114,26 +117,37 @@ def test_the_cases_cover_every_golden_program():
 @pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
                          ids=[c[0] for c in _cases()])
 def test_programs_draw_as_the_pasting_layout_does(db, query, limits):
-    view = to_view(build_tree(_program(db), parse_query(query), limits))
+    tree = build_tree(_program(db), parse_query(query), limits)
     for width in (40, 60, 120):
-        assert render_text(view, RenderOptions(max_width=width)) == (
-            reference_render(view, width)), width
+        assert render_text(tree, RenderOptions(max_width=width)) == (
+            reference_render(to_view(tree), width)), width
 
 
-def _missing(view: ViewTree, width: int) -> list[str]:
-    """The strings of shown_strings(view) that no line of its drawing at
-    `width` holds."""
-    lines = render_text(view, RenderOptions(max_width=width)).splitlines()
-    return [s for s in shown_strings(view)
+@pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
+                         ids=[c[0] for c in _cases()])
+def test_a_tree_and_its_view_write_the_same_text(db, query, limits):
+    tree = build_tree(_program(db), parse_query(query), limits)
+    view = to_view(tree)
+    assert serialize(tree) == serialize(view)
+    for width in (40, 60, 120):
+        options = RenderOptions(max_width=width)
+        assert render_text(tree, options) == render_text(view, options), width
+
+
+def _missing(tree, width: int) -> list[str]:
+    """The strings of shown_strings(to_view(tree)) that no line of the
+    drawing of `tree` at `width` holds."""
+    lines = render_text(tree, RenderOptions(max_width=width)).splitlines()
+    return [s for s in shown_strings(to_view(tree))
             if not any(s in line for line in lines)]
 
 
 @pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
                          ids=[c[0] for c in _cases()])
 def test_programs_draw_every_goal_list_and_label(db, query, limits):
-    view = to_view(build_tree(_program(db), parse_query(query), limits))
+    tree = build_tree(_program(db), parse_query(query), limits)
     for width in (40, 60, 120):
-        assert _missing(view, width) == [], width
+        assert _missing(tree, width) == [], width
 
 
 @pytest.mark.parametrize("view", [_CROSSED, _flat(12)],
@@ -144,14 +158,14 @@ def test_runs_and_forced_labels_draw_every_string(view):
     assert _missing(view, 40) == []
 
 
-def _views_written():
-    """(name, view, width): the cases at widths 40, 60 and 120, perm 3
+def _trees_written():
+    """(name, tree, width): the cases at widths 40, 60 and 120, perm 3
     and the crossed tree."""
     for name, db, query, limits in _cases():
-        view = to_view(build_tree(_program(db), parse_query(query), limits))
+        tree = build_tree(_program(db), parse_query(query), limits)
         for width in (40, 60, 120):
-            yield name, view, width
-    yield "perm-3", to_view(perm(3)), 120
+            yield name, tree, width
+    yield "perm-3", perm(3), 120
     yield "crossed", _CROSSED, 40
 
 
@@ -168,6 +182,6 @@ def test_every_write_lands_on_blank_cells_with_no_block_placed(monkeypatch):
         real_write(canvas, r, c, text)
 
     monkeypatch.setattr(render._Canvas, "write", write)
-    for name, view, width in _views_written():
+    for name, tree, width in _trees_written():
         where = name, width
-        render_text(view, RenderOptions(max_width=width))
+        render_text(tree, RenderOptions(max_width=width))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import sldtree
+from sldtree.cli import EXIT_OK, RunConfig, run
 from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, load_fixture
 from sldtree.reader import parse_program, parse_query
+from sldtree.render import render_text
 from sldtree.serialize import (_JSON_NESTING, FORMAT_NAME, FormatError,
-                               ViewEdge, ViewNode, ViewTree, deserialize,
-                               serialize, to_view)
+                               ViewNode, deserialize, serialize, to_view)
+from test_golden import DB
+from test_render import perm
 
 
 def fixture_tree(name):
@@ -106,10 +110,19 @@ def test_the_reader_lends_json_a_fixed_limit_and_never_lowers_the_callers(
     assert seen == [_JSON_NESTING, 4 * _JSON_NESTING]
 
 
-def test_to_view_passes_views_through():
-    view = ViewTree(ViewNode(("p",), "open",
-                             (ViewEdge((), ViewNode((), "success")),)))
-    assert to_view(view) is view
+def test_the_writers_make_no_view_of_a_search_tree(monkeypatch):
+    # they read each node of the tree the build made, not a copy of it
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a ViewNode was made")
+
+    tree = perm(3)
+    monkeypatch.setattr(ViewNode, "__init__", refuse)
+    render_text(tree)
+    serialize(tree)
+    for fmt in ("ascii", "canonical"):
+        cfg = RunConfig(db=str(DB / "perm.pl"), query="perm([a,b,c],P)",
+                        format=fmt)
+        assert run(cfg, io.StringIO(), io.StringIO()) == EXIT_OK, fmt
 
 
 def test_non_ascii_atoms_stay_readable():
