@@ -8,6 +8,7 @@ tree truncated by resource limits.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass, field
@@ -107,6 +108,11 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         return EXIT_ERROR
 
     error = None
+    # the run makes no reference cycles, and a collection walks every node
+    # of the tree, which lives until the write: the collector is paused
+    # from the parse through the write, and left off if it was off
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         program = parse_program(db_text)
         query = parse_query(cfg.query)
@@ -136,6 +142,9 @@ def run(cfg: RunConfig, out: IO[str], err: IO[str]) -> int:
         # the exception holds, are let go
         tree = drawing = None
         error = "out of memory"
+    finally:
+        if collecting:
+            gc.enable()
     if error is not None:
         print(f"error: {error}", file=err)
         return EXIT_ERROR

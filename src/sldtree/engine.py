@@ -31,6 +31,10 @@ own target prunes nothing.
 
 A clause whose head clashes with the call at a top-level argument (see
 kb.arg_keys) becomes a failure leaf without renaming or unification.
+Program.candidates indexes the heads by the key at the call's first
+bound argument, so a call into a fact table tries only the clauses that
+do not clash there; the others stay in the tree. Every failure leaf is
+one shared node, which the build never changes.
 
 The build makes no reference cycles, so the cyclic garbage collector is
 paused while it runs.
@@ -78,12 +82,15 @@ _NO_LABEL = EdgeLabel()  # shared by every node without bindings shown
 
 class SearchNode:
     """A node of the tree: mutable, and equal only to itself. The build
-    makes one for every clause it tries, so this is a plain slotted class."""
+    makes one for every clause child that is not a failure leaf, so this
+    is a plain slotted class; all failure leaves are one shared node,
+    which callers must not change."""
     __slots__ = ("goals", "status", "label", "children")
 
     def __init__(self, goals: GoalSeq, status: NodeStatus = NodeStatus.OPEN,
                  label: EdgeLabel = _NO_LABEL,
-                 children: list[SearchNode] | None = None) -> None:
+                 children: list[SearchNode] | tuple[()] | None = None
+                 ) -> None:
         self.goals = goals
         self.status = status
         self.label = label
@@ -92,6 +99,13 @@ class SearchNode:
     def __repr__(self) -> str:  # the children by count: a tree is deep
         return (f"SearchNode(goals={self.goals!r}, status={self.status!r}, "
                 f"label={self.label!r}, {len(self.children)} children)")
+
+
+# the one failure leaf, a child wherever a branch fails: a head that
+# clashes or does not unify, fail, a comparison that does not hold, an
+# unknown predicate. The build never changes it: it visits only open
+# nodes, and a cut prunes only open ones
+_FAIL_LEAF = SearchNode((), NodeStatus.FAIL, children=())
 
 
 @dataclass(frozen=True)
@@ -246,10 +260,6 @@ def _rewrite(goals: GoalSeq, depth: int | None,
                        if isinstance(g, Disjunction) else Negation(seq))
 
 
-def _fail_leaf() -> SearchNode:
-    return SearchNode((), status=NodeStatus.FAIL)
-
-
 _COMPARE = {"<": int.__lt__, ">": int.__gt__,
             "=<": int.__le__, ">=": int.__ge__}
 
@@ -400,7 +410,7 @@ class _Builder:
                     raise UnknownPredicateError(
                         f"unknown predicate {key[0]}/{key[1]} in goal "
                         f"{term_text(g.term)}")
-                children = [_fail_leaf()]
+                children = [_FAIL_LEAF]
             else:
                 # _rewrite resolves every goal term through its step's
                 # bindings, so no argument of a call is a bound variable and
@@ -408,31 +418,37 @@ class _Builder:
                 # key differs at that position does not unify with it
                 bound = [(i, k) for i, k in enumerate(arg_keys(g.term))
                          if k is not None]
+                clauses = self.program.clauses_for(key)
+                # the index gives the clauses whose head does not clash at
+                # the first bound position; the others stay failure leaves
+                if bound:
+                    candidates = self.program.candidates(key, *bound.pop(0))
+                else:
+                    candidates = range(len(clauses))
                 shown = [v for v in variables_of(g.term)
                          if not v.is_anonymous]
-                children, kids = [], []
-                for c in self.program.clauses_for(key):
+                children = [_FAIL_LEAF] * len(clauses)
+                kids = [plain] * len(clauses)
+                for j in candidates:
+                    c = clauses[j]
                     keys = c.head_keys
                     for i, k in bound:
                         if keys[i] not in (None, k):
-                            child, kid = _fail_leaf(), plain
                             break
                     else:
-                        child, kid = self._clause_child(
+                        children[j], kids[j] = self._clause_child(
                             g, shown, rest, c, depth, floor)
-                    children.append(child)
-                    kids.append(kid)
                 return children, kids
         elif isinstance(g, TrueGoal):
             children = [SearchNode(rest)]
         elif isinstance(g, FailGoal):
-            children = [_fail_leaf()]
+            children = [_FAIL_LEAF]
         elif isinstance(g, Cut):
             apply_cut([(f.node, f.index) for f in frames[g.depth or 0:]])
             children = [SearchNode(rest)]
         elif isinstance(g, Compare):
             children = ([SearchNode(rest)]
-                        if _compare_holds(g) else [_fail_leaf()])
+                        if _compare_holds(g) else [_FAIL_LEAF])
         elif isinstance(g, Disjunction):
             children = [SearchNode(g.left + rest), SearchNode(g.right + rest)]
         elif isinstance(g, Negation):
@@ -462,7 +478,7 @@ class _Builder:
             fresh = {}
         sigma = unify(call.term, clause.head, fresh)
         if sigma is None:
-            return _fail_leaf(), ((), None, floor)
+            return _FAIL_LEAF, ((), None, floor)
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
         names: set[str] = set()

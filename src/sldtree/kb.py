@@ -6,6 +6,7 @@ negation hold whole sequences for the same reason.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -184,7 +185,8 @@ class Clause:
 
 
 class Program:
-    """Clauses grouped by (name, arity), source order preserved."""
+    """Clauses grouped by (name, arity), source order preserved, and
+    indexed by the argument key at each position as calls need it."""
 
     def __init__(self, clauses: list[Clause] | tuple[Clause, ...] = ()):
         self._order = tuple(clauses)
@@ -192,9 +194,37 @@ class Program:
         for c in self._order:
             by_pred.setdefault(indicator(c.head), []).append(c)
         self._by_pred = {k: tuple(cs) for k, cs in by_pred.items()}
+        # per (predicate, argument position): the positions of the heads
+        # with each key there, and of those with a variable there
+        self._index: dict[tuple[tuple[str, int], int],
+                          tuple[dict, tuple[int, ...]]] = {}
 
     def clauses_for(self, key: tuple[str, int]) -> tuple[Clause, ...]:
         return self._by_pred.get(key, ())
+
+    def candidates(self, key: tuple[str, int], position: int,
+                   arg_key) -> Sequence[int]:
+        """The source-order positions, in clauses_for(key), of the clauses
+        whose head key (see arg_keys) at `position` is `arg_key` or None:
+        the others clash with an argument whose key is `arg_key`. The
+        index holds each position once, and a variable's are merged in."""
+        entry = self._index.get((key, position))
+        if entry is None:
+            by_key: dict = {}
+            unkeyed: list[int] = []
+            for i, c in enumerate(self._by_pred[key]):
+                k = c.head_keys[position]
+                if k is None:
+                    unkeyed.append(i)
+                else:
+                    by_key.setdefault(k, []).append(i)
+            entry = self._index[key, position] = (
+                {k: tuple(ps) for k, ps in by_key.items()}, tuple(unkeyed))
+        by_key, unkeyed = entry
+        keyed = by_key.get(arg_key, ())
+        if not (keyed and unkeyed):
+            return keyed or unkeyed
+        return sorted(keyed + unkeyed)  # two runs: a linear merge
 
     def defines(self, key: tuple[str, int]) -> bool:
         return key in self._by_pred

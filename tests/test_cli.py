@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import sldtree
+from sldtree import cli
 from sldtree.cli import (EXIT_ERROR, EXIT_NO_ANSWERS, EXIT_OK, EXIT_TRUNCATED,
                          FORMATS, RunConfig, main, run)
 from sldtree.engine import Limits
 from sldtree.fixtures import FIXTURES
 from test_golden import DB
+from test_golden import cases as golden_cases
 
 
 def invoke(cfg):
@@ -435,3 +438,76 @@ def test_out_of_memory_is_an_error_not_no_answers(tmp_path, db, query, args):
     proc = subprocess.run(**kwargs, preexec_fn=_limit_memory, timeout=300)
     assert (proc.returncode, proc.stderr) == (
         EXIT_ERROR, "error: out of memory\n")
+
+
+# -- the cyclic collector --------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """The collector as a test leaves it, turned back on after."""
+    yield gc
+    gc.enable()
+
+
+# each case: the run, its exit code, and the stages it reaches, the last
+# one raising MemoryError if `exhausted`
+@pytest.mark.parametrize("cfg, want, stages, exhausted", [
+    (RunConfig(db="romance", query="jealous(X, Y)"), EXIT_OK,
+     ["parse_program", "render_text"], False),
+    (RunConfig(db="member", query="member(x, [a])", format="canonical"),
+     EXIT_NO_ANSWERS, ["parse_program", "serialize"], False),
+    (RunConfig(db="member", query="member(X, [a"), EXIT_ERROR,
+     ["parse_program"], False),
+    (RunConfig(db="magic", query="magic(X)", unknown="error"), EXIT_ERROR,
+     ["parse_program"], False),
+    (RunConfig(db=str(DB / "loop.pl"), query="p", limits=Limits(max_depth=20)),
+     EXIT_TRUNCATED, ["parse_program", "render_text"], False),
+    (RunConfig(db="romance", query="jealous(X, Y)"), EXIT_ERROR,
+     ["parse_program", "render_text"], True),
+], ids=["ok", "no-answers", "parse-error", "unknown", "truncated",
+        "out-of-memory"])
+def test_the_collector_is_paused_for_the_whole_run(
+        monkeypatch, collector, cfg, want, stages, exhausted):
+    seen = []
+
+    def watch(name, f):
+        def watched(*args):
+            seen.append((name, collector.isenabled()))
+            return f(*args)
+        monkeypatch.setattr(cli, name, watched)
+    for name in ("parse_program", "render_text", "serialize"):
+        watch(name, getattr(cli, name))
+    if exhausted:
+        def out_of_memory(*args):
+            raise MemoryError
+        watch(stages[-1], out_of_memory)
+    collector.enable()
+    code, _, err = invoke(cfg)
+    assert code == want, err
+    assert collector.isenabled()
+    assert seen == [(name, False) for name in stages]
+    collector.disable()
+    assert invoke(cfg)[0] == want
+    assert not collector.isenabled()
+
+
+def test_a_run_leaves_no_cycles_for_the_collector(collector):
+    # each golden case's database, query and limits, in every format; the
+    # options are read before the run, as argparse's parser holds cycles
+    runs = set()
+    for argv in golden_cases().values():
+        options = dict(zip(argv[::2], argv[1::2]))
+        options.pop("--format", None)
+        options.pop("--width", None)
+        runs.add(tuple(x for pair in options.items() for x in pair))
+    assert len(runs) == 16
+    for base in sorted(runs):
+        for fmt in FORMATS:
+            args = cli._build_parser().parse_args([*base, "--format", fmt])
+            cfg = RunConfig(db=args.db, query=args.query, format=args.format,
+                            limits=Limits(args.max_depth, args.max_nodes))
+            collector.collect()
+            collector.disable()
+            invoke(cfg)
+            assert collector.collect() == 0, (base, fmt)
+            collector.enable()

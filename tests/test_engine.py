@@ -15,6 +15,8 @@ from sldtree.fixtures import load_fixture
 from sldtree.kb import (Call, Cut, Disjunction, Negation, goal_variables,
                         seq_text)
 from sldtree.reader import parse_program, parse_query
+from sldtree.render import render_text
+from sldtree.serialize import serialize
 from sldtree.terms import (Atom, Compound, Variable, indicator, term_text,
                            variables_of)
 from sldtree.unify import rename_clause, unify
@@ -619,7 +621,7 @@ def test_each_clause_tried_is_unified_once(monkeypatch):
 
 def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
     n = 40
-    src = "".join(f"d({i % 5}, v(X), X).\n" for i in range(n))
+    src = "".join(f"d({i % 5}, {'vw'[i % 2]}(X), X).\n" for i in range(n))
     program = parse_program(src)
     events = record_tries(monkeypatch)
     tree = build_tree(program, parse_query("d(3, A, B)"))
@@ -630,8 +632,31 @@ def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
                       for e in (("rename", c), ("unify", call, c.head))]
     assert [c.status for c in tree.root.children] == \
         [SUCCESS if i % 5 == 3 else FAIL for i in range(n)]
-    assert [a.text() for a in solutions(tree)] == \
-        ["A = v(X), B = X"] * len(matching)
+    assert answers(tree) == [f"A = {c.head.args[1].functor}(X), B = X"
+                             for c in matching]
+    # the index of the second position serves a call bound only there
+    events.clear()
+    tree = build_tree(program, parse_query("d(A, v(1), B)"))
+    call = tree.root.goals[0].term
+    matching = program.clauses[::2]
+    assert events == [e for c in matching
+                      for e in (("rename", c), ("unify", call, c.head))]
+    assert [c.status for c in tree.root.children] == \
+        [FAIL if i % 2 else SUCCESS for i in range(n)]
+    assert answers(tree) == [f"A = {i % 5}, B = 1" for i in range(0, n, 2)]
+
+
+def test_every_failure_leaf_is_one_shared_node():
+    program = parse_program("".join(f"n({i}).\n" for i in range(1000)))
+    tree = build_tree(program, parse_query("n(7)"))
+    children = tree.root.children
+    assert len(children) == 1000
+    assert [i for i, c in enumerate(children) if c.status is not FAIL] == [7]
+    assert len({id(c) for c in children if c.status is FAIL}) == 1
+    # the writers still show each of them
+    doc = serialize(tree)
+    assert doc.count('"status": "fail"') == 999
+    assert render_text(tree).split().count("x") == 999
 
 
 # -- tree shape invariants ------------------------------------------------------

@@ -11,7 +11,11 @@ cells among writes that test their cells first, free() and
 free_window() must see a cell dictionary of every cell placed or
 written. unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
-without unifying must not unify with the call. unify() must also bind
+without unifying must not unify with the call. On generated heads and
+calls, each call node the build makes must have one child per clause,
+the one shared failure leaf exactly where unify() finds no unifier, and
+a fact table's success leaves must be the facts that unify, in order,
+whichever clauses the index skips. unify() must also bind
 the same variables to the same terms, in the same order, as its earlier
 queue-only form. The reader's pattern tokenizer must agree with the
 character loop it replaced. expand() on one clause, renamed through the
@@ -55,7 +59,7 @@ from sldtree.render import _Canvas, _leaf_block
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
                                ViewTree, deserialize, serialize)
 from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
-                           term_text, variables_of)
+                           list_term, term_text, variables_of)
 from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
 from test_engine import expand
 
@@ -404,6 +408,95 @@ def test_a_head_key_clash_means_no_unifier(call_args, head_args):
     if not tried.called:
         assert child.status is NodeStatus.FAIL
         assert unify(call, head) is None
+
+
+# -- the clause index --------------------------------------------------------
+
+# the heads' variables and the call's are apart, as a renamed clause's are
+HEAD_POOL = (Variable("A"), Variable("B"), Variable("_"))
+INDEX_CALL_POOL = (Variable("X"), Variable("Y"), Variable("_"))
+# keys that clash at the top and print alike or share a functor: '1' and 1,
+# f and f/1 and f/2, [] and a list
+_index_leaves = (Atom("a"), Atom("f"), Atom("1"), Atom("[]"), Integer(1),
+                 Integer(-1))
+
+
+def _index_terms(pool):
+    return st.recursive(
+        st.sampled_from(pool + _index_leaves),
+        lambda kids: st.one_of(
+            st.builds(lambda x: Compound("f", (x,)), kids),
+            st.builds(lambda x, y: Compound("f", (x, y)), kids, kids),
+            st.builds(lambda xs, t: list_term(xs, t),
+                      st.lists(kids, min_size=1, max_size=2),
+                      st.sampled_from(pool + (Atom("[]"),)))),
+        max_leaves=4)
+
+
+@st.composite
+def indexed_programs(draw, rules=True):
+    """A predicate p/n of facts and, when `rules`, rules that call it,
+    and a call of p/n whose arguments are bound, unbound or partly bound."""
+    n = draw(st.integers(1, 3))
+    args = st.lists(_index_terms(HEAD_POOL), min_size=n, max_size=n)
+    heads = draw(st.lists(args, min_size=1, max_size=8))
+    program = []
+    for head in heads:
+        body = ()
+        if rules and draw(st.booleans()):
+            body = (Call(Compound("p", tuple(draw(args)))),)
+        program.append(Clause(Compound("p", tuple(head)), body))
+    call = draw(st.lists(_index_terms(INDEX_CALL_POOL), min_size=n,
+                         max_size=n))
+    return Program(program), Call(Compound("p", tuple(call)))
+
+
+def _call_nodes(tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.children and isinstance(node.goals[0], Call):
+            yield node
+        stack.extend(node.children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_programs())
+@example((Program([Clause(Compound("p", (Integer(1),))),
+                   Clause(Compound("p", (Atom("1"),))),
+                   Clause(Compound("p", (HEAD_POOL[0],)))]),
+          Call(Compound("p", (Integer(1),)))))
+def test_the_index_agrees_with_unification_clause_by_clause(case):
+    program, call = case
+    try:
+        tree = build_tree(program, (call,), Limits(max_depth=4,
+                                                   max_nodes=300))
+    except CyclicTermError:  # a head unified into a cyclic binding
+        return
+    clauses = program.clauses
+    for node in _call_nodes(tree):
+        term = node.goals[0].term
+        assert len(node.children) == len(clauses)
+        for clause, child in zip(clauses, node.children):
+            assert (child.status is NodeStatus.FAIL) == (
+                unify(term, clause.head) is None)
+            if child.status is NodeStatus.FAIL:
+                assert child is engine._FAIL_LEAF
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_programs(rules=False))
+def test_a_fact_table_answers_with_the_facts_that_unify(case):
+    program, call = case
+    try:
+        tree = build_tree(program, (call,))
+    except CyclicTermError:
+        return
+    unifying = [i for i, c in enumerate(program.clauses)
+                if unify(call.term, c.head) is not None]
+    assert [i for i, c in enumerate(tree.root.children)
+            if c.status is NodeStatus.SUCCESS] == unifying
+    assert [a.path for a in solutions(tree)] == [(i,) for i in unifying]
 
 
 # -- unify against its queue-only form ---------------------------------------
