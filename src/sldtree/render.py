@@ -1,48 +1,43 @@
 """ASCII layout for search trees.
 
 Each node, read through serialize.node_parts() when the layout reaches
-it, becomes a block with an anchor column (the center of its top line).
-A parent block is built bottom-up: lay out the children, place them
-side by side, then draw connector runs from the parent's anchor down to
-each child's anchor using /, | and \\ glyphs at integer-interpolated
-columns. Binding labels sit beside the runs; when a label does not fit
-it walks down its run, flips sides, and as a last resort the connector
-rows are made taller. Nothing is drawn over: each glyph of a run and
-each label tests its cells before it is written. A run steps outward
-past taken cells, a vertical one to the right, and a label that fits
-nowhere moves right. The blanks inside a quoted atom are blank cells
-too, so a run can still step into them (ROADMAP item 4). The canvas a
-parent is drawn on grows to the left when a run or label reaches left
-of its origin; the block starts at its leftmost written cell.
+it, becomes a block: its own strokes, each a list of (row, column, text)
+pieces (its text, a run, a label, the trunk), and its children's
+blocks, each placed at a row and column of it. A block's anchor is the
+middle of its top line. Every placement is free of collisions by
+construction: nothing is tested cell by cell, searched for or retried.
 
-When a row of children is wider than the width budget, the widest
-children are dropped out of the row one by one and drawn below the
-remaining ones, each on its own band with a long connector run. The
-budget is a soft target: a single over-wide leaf still renders whole.
+A parent's text sits on row 0, centred over the anchors of its first
+and last kept child. Below it is a band of h rows, h one more than the
+most lines of any child's label and at least 2. The run to a child
+whose anchor is column A has one glyph on each band row r, /, | or \\,
+at column P + (A - P) * r // h, P the parent's anchor, so its last
+glyph is directly above A; the child's block starts below the band. A
+child's label lines sit on the band's bottom rows, a blank away from
+its run: on its left for child i < n // 2 of n, on its right otherwise.
 
-A child is not copied into its parent when it is placed: it stays a
-block of its own, kept as a placement at a row and column of its
-parent. The first time a run or label tests a cell while placements are
-kept, they are all pasted into the parent's rows, blank where they go,
-and the list is cleared. Only a dropped child's run or label tests
-cells after a child is placed, so a block keeps its rows, with every
-child pasted in, and the children placed after the last test.
-render_text then paints the drawing once, row by row, from one walk of
-the blocks; pasting is the same walk over a canvas's placements. Goals
-and labels never start or end with whitespace, as the printer writes
-them, and only a space is a blank cell.
+Kept children go side by side. Each gap is the smallest that keeps two
+neighbouring blocks 3 columns apart, and, wherever the parent lands,
+their runs a blank apart on every band row and a blank on either side
+of each label line between those runs. A gap depends only on the two
+children beside it, so while the row is wider than the width budget
+and more than one child is kept, the widest is dropped, and only the
+gaps beside it change.
 
-Drawing takes time linear in its output, except that a block with a
-dropped child copies the rows above its last dropped band once. A flat
-table's output is itself quadratic in its fan-out, since each dropped
-child's run crosses every row above it.
+Dropped children hang in source order on a trunk: one more run goes
+from the parent's anchor to a one-column first slot of the row, and
+then | straight down the left side. Each dropped child branches off it
+to the right through a \\ run with its label on its right, its block at
+least 2 columns right of the trunk and below everything drawn before
+it. The budget is a soft target: a single over-wide leaf still renders
+whole, and centred parents drift right down a spine of wide nodes.
+
+render_text paints the drawing once, row by row, from one walk of the
+blocks, in time and memory linear in its output.
 """
 from __future__ import annotations
 
-import re
-from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import sub
 
 from .engine import SearchTree
 from .serialize import Parts, ViewTree, fold, node_parts
@@ -50,8 +45,8 @@ from .serialize import Parts, ViewTree, fold, node_parts
 MIN_WIDTH = 40
 # what a leaf that is not an open goal list is drawn as, by status
 GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
-# the written cells of a row; only a space is a blank cell
-_INK = re.compile(r"[^ ]+")
+
+Piece = tuple[int, int, str]  # (row, column, text)
 
 
 @dataclass(frozen=True)
@@ -65,19 +60,14 @@ class RenderOptions:
 
 @dataclass(eq=False, slots=True)
 class _Block:
-    """A laid-out subtree: its rows, with every child pasted into them,
-    and the children never pasted, each placed at a row and column of
-    this block. Nothing in a block changes once it is made."""
-    rows: Sequence[str]  # in the columns of its canvas
-    shift: int  # the canvas column of the block's column 0
-    kids: Sequence[tuple[_Block, int, int]]  # (block, row, column), by row
+    """A laid-out subtree: its own strokes and its children's blocks,
+    each (block, row, column). Nothing in a block changes once it is
+    made, and every piece and child lies inside its width and height."""
+    strokes: list[list[Piece]]
+    kids: list[tuple[_Block, int, int]]
     width: int
     height: int
     anchor: int
-
-
-def _leaf_block(text: str) -> _Block:
-    return _Block((text,), 0, (), len(text), 1, len(text) // 2)
 
 
 def _ink(runs: list[tuple[int, str]]) -> str:
@@ -91,203 +81,25 @@ def _ink(runs: list[tuple[int, str]]) -> str:
     return row
 
 
-def _paint(runs: list[list[tuple[int, str]]],
-           stack: list[tuple[_Block, int, int]]) -> list[str]:
-    """The rows that `runs`, the (column, text) runs already on each row,
-    make with the blocks on `stack`, each (block, top row, left column).
-    No two runs overlap. A block's runs are whole rows above its first
-    kid, which nothing else in the block's columns paints, and each
-    written piece of a row from there down."""
-    while stack:
-        b, top, left = stack.pop()
-        rows, shift, kids = b.rows, b.shift, b.kids
-        whole = min(kids[0][1], len(rows)) if kids else len(rows)
-        for line, text in zip(runs[top:top + whole], rows[:whole]):
-            if text:
-                line.append((left, text[shift:]))
-        for line, text in zip(runs[top + whole:top + len(rows)],
-                              rows[whole:]):
-            for m in _INK.finditer(text, shift):
-                line.append((left + m.start() - shift, m.group()))
-        for kid, r, c in kids:
-            if kid.kids:
-                stack.append((kid, top + r, left + c))
-            else:  # a leaf needs no walk: its one row is its text
-                runs[top + r].append((left + c, kid.rows[0]))
-    return [_ink(line) if line else "" for line in runs]
+def _line(lines: list[str], r: int, h: int) -> int:
+    """The columns that the label line on band row r takes, with the
+    blank beside it: the lines sit on the band's bottom rows."""
+    k = r - 1 - h + len(lines)
+    return len(lines[k]) + 1 if k >= 0 else 0
 
 
-class _Canvas:
-    """Grow-on-write character grid, one string per row. Columns are
-    offset so the layout code may go temporarily negative; a write left
-    of the offset grows every row to the left, and the finished block
-    starts at the leftmost written cell. Cells left of the grid or past
-    the end of a row are free.
-
-    Placed blocks are kept as placements. The first `free` or
-    `free_window` test while any are kept pastes them all into the
-    rows and clears the list; a block must be placed on blank rows,
-    below every block placed before it or beside those of its band, and
-    no cell may be written while placements are kept."""
-
-    def __init__(self, offset: int):
-        self.off = offset
-        self.rows: list[str] = []
-        self.kids: list[tuple[_Block, int, int]] = []
-
-    def write(self, r: int, c: int, text: str) -> None:
-        rows = self.rows
-        if len(rows) <= r:
-            rows.extend([""] * (r + 1 - len(rows)))
-        c += self.off
-        if c < 0:
-            self.rows = rows = [" " * -c + row for row in rows]
-            self.off -= c
-            c = 0
-        row = rows[r]
-        if len(row) < c:
-            row += " " * (c - len(row))
-        rows[r] = row[:c] + text + row[c + len(text):]
-
-    def place(self, block: _Block, r: int, c: int) -> None:
-        """Put `block` with its column 0 at column c of row r."""
-        self.kids.append((block, r, c))
-
-    def paste(self) -> None:
-        """Paint the placed blocks into the rows from the first one's
-        down, where the rows are blank, and forget them."""
-        rows, lo = self.rows, self.kids[0][1]
-        end = max(r + b.height for b, r, _ in self.kids)
-        rows.extend([""] * (end - len(rows)))
-        runs = [[(m.start(), m.group()) for m in _INK.finditer(row)]
-                for row in rows[lo:]]
-        rows[lo:] = _paint(runs, [(b, r - lo, c + self.off)
-                                  for b, r, c in self.kids])
-        self.kids = []
-
-    def free(self, r: int, c0: int, c1: int) -> bool:
-        # half-open column range, offset-adjusted
-        if self.kids:
-            self.paste()
-        if r >= len(self.rows):
-            return True
-        c0 = max(c0 + self.off, 0)
-        return not self.rows[r][c0:max(c1 + self.off, c0)].strip(" ")
-
-    def free_window(self, r: int, c: int, width: int, step: int) -> int:
-        """The first of c, c + step, c + 2 * step, ... at which `width`
-        cells of row r are free; step is 1 or -1."""
-        if self.kids:
-            self.paste()
-        if r >= len(self.rows):
-            return c
-        row = self.rows[r]
-        start = c + self.off
-        if start >= len(row):
-            return c
-        # the cells left of the row and past its end are free: a window
-        # may reach into either
-        blank = " " * width
-        if step > 0:
-            if start < 0:
-                if not row[:max(start + width, 0)].strip(" "):
-                    return c
-                start = 0
-            # every window from the last written cell on is free
-            tail = max(start, len(row.rstrip(" ")))
-            hit = row.find(blank, start, tail + width - 1)
-            col = tail if hit < 0 else hit
-        else:
-            if start >= len(row.rstrip(" ")):
-                return c
-            col = row.rfind(blank, 0, start + width) if start >= 0 else -1
-            if col < 0:  # no window in the row; left of it all are free
-                lead = len(row) - len(row.lstrip(" "))
-                col = start if lead == len(row) else min(start, lead - width)
-        return col - self.off
-
-    def block(self, anchor: int) -> _Block:
-        """The finished block, with its anchor at column `anchor`. Its
-        column 0 is the leftmost written cell, its own or a kid's."""
-        rows = list(filter(None, map(str.rstrip, self.rows)))
-        lead = min(map(sub, map(len, rows), map(len, map(str.lstrip, rows))))
-        left = min(lead - self.off, min(c for _, _, c in self.kids))
-        right = max(max(map(len, rows)) - self.off,
-                    max(c + b.width for b, _, c in self.kids))
-        height = max(len(self.rows),
-                     max(r + b.height for b, r, _ in self.kids))
-        return _Block(self.rows, left + self.off,
-                      [(b, r, c - left) for b, r, c in self.kids],
-                      right - left, height, anchor - left)
+def _gap(h: int, u: tuple, v: tuple) -> int:
+    """The blank columns between neighbouring slots u and v, each
+    (width, anchor, label lines on its left, label lines on its right).
+    Runs whose anchors are d apart are at least d * r // h apart on band
+    row r, wherever the parent's anchor is."""
+    d = max(-(-(2 + _line(u[3], r, h) + _line(v[2], r, h)) * h // r)
+            for r in range(1, h + 1))
+    return max(3, d - (u[0] - u[1]) - v[1])
 
 
-def _run_col(parent: int, anchor: int, row: int, height: int) -> int:
-    return parent + ((anchor - parent) * row) // height
-
-
-def _run_glyph(parent: int, anchor: int) -> str:
-    if anchor < parent:
-        return "/"
-    if anchor > parent:
-        return "\\"
-    return "|"
-
-
-def _place_label(canvas: _Canvas, lines: list[str], parent: int, anchor: int,
-                 height: int, prefer_left: bool, prefer_bottom: bool = False,
-                 force: bool = False) -> bool:
-    """Write `lines` beside the run from `parent` to `anchor` on free
-    cells, a blank cell on either side of each, and say whether they
-    fit. Under `force` they always do: at the first start row, right of
-    the run, and as far right as the free cells are."""
-    if not lines:
-        return True
-
-    def put(rows: range, base: int) -> bool:
-        if not all(canvas.free(r, base - 1, base + len(t) + 1)
-                   for r, t in zip(rows, lines)):
-            return False
-        for r, t in zip(rows, lines):
-            canvas.write(r, base, t)
-        return True
-
-    # every caller passes height > len(lines), so each start row fits
-    start_rows = list(range(max(1, (height + 1 - len(lines)) // 2),
-                            height - len(lines) + 2))
-    if prefer_bottom:
-        start_rows.reverse()
-    sides = (True, False) if prefer_left else (False, True)
-    for start in start_rows:
-        rows = range(start, start + len(lines))
-        cols = [_run_col(parent, anchor, r, height) for r in rows]
-        for left in sides:
-            if left:
-                # one shared left edge, lines never crossing their run
-                base = min(c - 1 - len(t) for c, t in zip(cols, lines))
-            else:
-                base = max(cols) + 2
-            if put(rows, base):
-                return True
-    if not force:
-        return False
-    rows = range(start_rows[0], start_rows[0] + len(lines))
-    base = max(_run_col(parent, anchor, r, height) for r in rows) + 2
-    # cells past the end of a row are free, so this ends
-    while not put(rows, base):
-        base += 1
-    return True
-
-
-def _draw_run(canvas: _Canvas, parent: int, anchor: int,
-              top: int, bottom: int, total: int,
-              clearance: int = 0) -> None:
-    glyph = _run_glyph(parent, anchor)
-    step = -1 if anchor < parent else 1
-    for r in range(top, bottom + 1):
-        col = _run_col(parent, anchor, r, total)
-        col = canvas.free_window(r, col - clearance, 1 + 2 * clearance,
-                                 step) + clearance
-        canvas.write(r, col, glyph)
+def _glyph(parent: int, anchor: int) -> str:
+    return "/" if anchor < parent else "\\" if anchor > parent else "|"
 
 
 def _compose(text: str, edges: list, blocks: list[_Block],
@@ -295,82 +107,93 @@ def _compose(text: str, edges: list, blocks: list[_Block],
     n = len(blocks)
     labels = [[] if status == "pruned" else [f"{k}={t}" for k, t in label]
               for label, status, _ in edges]
-    max_label = max((len(t) for ls in labels for t in ls), default=0)
+    h = max(2, 1 + max(map(len, labels)))
+    slots = [(b.width, b.anchor, ls, []) if i < n // 2
+             else (b.width, b.anchor, [], ls)
+             for i, (b, ls) in enumerate(zip(blocks, labels))]
+    slots.append((1, 0, [], []))  # slot n: the trunk, once one is dropped
 
-    kept = list(range(n))
+    # the row as a linked list of slots, with the gap after each
+    before: list[int | None] = [None, *range(n - 1), None]
+    after: list[int | None] = [*range(1, n), None, 0]
+    gaps = [_gap(h, slots[i], slots[i + 1]) for i in range(n - 1)] + [0]
+    row = sum(b.width for b in blocks) + sum(gaps)
     dropped: list[int] = []
-    while len(kept) > 1:
-        gap = 3 * (len(kept) - 1)
-        if sum(blocks[i].width for i in kept) + gap <= max_width:
+    for c in sorted(range(n), key=lambda i: (blocks[i].width, i),
+                    reverse=True):
+        if row <= max_width or len(dropped) == n - 1:
             break
-        widest = max(kept, key=lambda i: (blocks[i].width, i))
-        kept.remove(widest)
-        dropped.append(widest)
+        if not dropped:
+            before[0] = n
+            gaps.append(_gap(h, slots[n], slots[0]))
+            row += 1 + gaps[n]
+        p, q = before[c], after[c]
+        row -= blocks[c].width + gaps[p] + gaps[c]
+        gaps[p] = 0 if q is None else _gap(h, slots[p], slots[q])
+        row += gaps[p]
+        after[p] = q
+        if q is not None:
+            before[q] = p
+        dropped.append(c)
     dropped.sort()
 
-    base_h = max(2, max((len(labels[i]) for i in kept + dropped),
-                        default=0) + 1)
-    gutter = 3
-    for attempt in range(6):
-        h = base_h + attempt % 3
-        if attempt >= 3:
-            gutter = 3 + max_label
-        result = _try_compose(text, blocks, labels, kept, dropped,
-                              h, gutter, max_label)
-        if result is not None:
-            return result
-    return _try_compose(text, blocks, labels, kept, dropped,
-                        base_h, 3 + max_label, max_label,
-                        force=True)  # type: ignore[return-value]
+    xs: list[tuple[int, int]] = []  # (slot, column) along the row
+    x, i = 0, n if dropped else 0
+    while i is not None:
+        xs.append((i, x))
+        x += slots[i][0] + gaps[i]
+        i = after[i]
+    anchors = [x + slots[i][1] for i, x in xs]
+    first, last = anchors[1 if dropped else 0], anchors[-1]
+    parent = (first + last) // 2
 
+    strokes: list[list[Piece]] = [[(0, parent - len(text) // 2, text)]]
+    kids: list[tuple[_Block, int, int]] = []
+    bottom = h + 1
+    for (i, x), a in zip(xs, anchors):
+        run = [(r, parent + (a - parent) * r // h, _glyph(parent, a))
+               for r in range(1, h + 1)]
+        strokes.append(run)
+        if i == n:
+            continue
+        lines = labels[i]
+        if lines:
+            strokes.append([(r, c - 1 - len(t) if i < n // 2 else c + 2, t)
+                            for t, (r, c, _) in zip(lines, run[-len(lines):])])
+        kids.append((blocks[i], h + 1, x))
+        bottom = max(bottom, h + 1 + blocks[i].height)
 
-def _try_compose(text: str, blocks: list[_Block], labels: list[list[str]],
-                 kept: list[int], dropped: list[int], h: int, gutter: int,
-                 max_label: int, force: bool = False) -> _Block | None:
-    offs: dict[int, int] = {}
-    x = 0
-    for i in kept:
-        offs[i] = x
-        x += blocks[i].width + gutter
-    anchors = {i: offs[i] + blocks[i].anchor for i in kept}
-    first, last = kept[0], kept[-1]
-    parent = (anchors[first] + anchors[last]) // 2
+    if dropped:
+        trunk = strokes[1]  # the run to the row's first slot, at column 0
+        for i in dropped:
+            b, lines = blocks[i], labels[i]
+            # k rows of branch, each a column or more right of the last
+            k = max(2, len(lines) + 1)
+            x = max(2, k - b.anchor)
+            trunk += [(r, 0, "|") for r in range(len(trunk) + 1, bottom)]
+            run = [(bottom - 1 + j, (x + b.anchor) * j // k, "\\")
+                   for j in range(1, k + 1)]
+            strokes.append(run)
+            if lines:
+                strokes.append([(r, c + 2, t) for t, (r, c, _)
+                                in zip(lines, run[-len(lines):])])
+            kids.append((b, bottom + k, x))
+            bottom += k + b.height
 
-    canvas = _Canvas(len(text) + max_label + 8)
-    canvas.write(0, parent - len(text) // 2, text)
-
-    for i in kept:
-        _draw_run(canvas, parent, anchors[i], 1, h, h)
-    for i in kept:
-        prefer_left = anchors[i] < parent
-        if not _place_label(canvas, labels[i], parent, anchors[i], h,
-                            prefer_left, force=force):
-            return None
-    bottom = h
-    for i in kept:
-        canvas.place(blocks[i], h + 1, offs[i])
-        bottom = max(bottom, h + blocks[i].height)
-
-    for i in dropped:
-        top = bottom + 2
-        left = 2
-        anchor = left + blocks[i].anchor
-        _draw_run(canvas, parent, anchor, 1, top - 1, top, clearance=1)
-        if not _place_label(canvas, labels[i], parent, anchor, top - 1,
-                            anchor < parent, prefer_bottom=True,
-                            force=force):
-            return None
-        canvas.place(blocks[i], top, left)
-        bottom = top + blocks[i].height - 1
-
-    return canvas.block(parent)
+    left = min(0, min(c for s in strokes for _, c, _ in s))
+    right = max(max(c + len(t) for s in strokes for _, c, t in s),
+                max(c + b.width for b, _, c in kids))
+    if left:
+        strokes = [[(r, c - left, t) for r, c, t in s] for s in strokes]
+        kids = [(b, r, c - left) for b, r, c in kids]
+    return _Block(strokes, kids, right - left, bottom, parent - left)
 
 
 def _layout(tree: SearchTree | ViewTree, max_width: int) -> _Block:
     def block(parts: Parts, blocks: list[_Block]) -> _Block:
         text = GLYPHS.get(parts[1]) or f"[{','.join(parts[0])}]"
         if not blocks:
-            return _leaf_block(text)
+            return _Block([[(0, 0, text)]], [], len(text), 1, len(text) // 2)
         return _compose(text, parts[2], blocks, max_width)
     return fold(node_parts(tree.root),
                 lambda p: [node_parts(c) for _, _, c in p[2]], block)
@@ -379,6 +202,13 @@ def _layout(tree: SearchTree | ViewTree, max_width: int) -> _Block:
 def render_text(tree: SearchTree | ViewTree,
                 options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
-    block = _layout(tree, opts.max_width)
-    runs: list[list[tuple[int, str]]] = [[] for _ in range(block.height)]
-    return "\n".join(_paint(runs, [(block, 0, 0)])) + "\n"
+    root = _layout(tree, opts.max_width)
+    rows: list[list[tuple[int, str]]] = [[] for _ in range(root.height)]
+    stack = [(root, 0, 0)]
+    while stack:
+        b, top, left = stack.pop()
+        for stroke in b.strokes:
+            for r, c, text in stroke:
+                rows[top + r].append((left + c, text))
+        stack.extend((kid, top + r, left + c) for kid, r, c in b.kids)
+    return "\n".join(map(_ink, rows)) + "\n"

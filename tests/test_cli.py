@@ -426,11 +426,12 @@ def _limit_memory():
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="RLIMIT_AS bounds the address space on Linux")
 @pytest.mark.parametrize("db, query, args", [
-    # ascii: about 400 MB of drawing
-    ("n(0).\nn(succ(X)) :- n(X).\n", "n(X)", ["--max-depth", "1202"]),
+    # ascii: a ';' nest 400 deep, whose drawing of about 650 MB grows
+    # with the cube of the depth
+    ("p(_).\n", "(p(a);" * 400 + "p(a)" + ")" * 400, ["--max-depth", "1000"]),
     # canonical: a document of about 800 MB, most of it indents
     ("p :- p.\n", "p", ["--format", "canonical", "--max-depth", "5000"]),
-], ids=("nat-ascii", "chain-canonical"))
+], ids=("nest-ascii", "chain-canonical"))
 def test_out_of_memory_is_an_error_not_no_answers(tmp_path, db, query, args):
     path = tmp_path / "db.pl"
     path.write_text(db)

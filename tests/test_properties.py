@@ -1,15 +1,10 @@
-"""Property tests of the canonical writer, the drawing canvas, unify and
-the tokenizer.
+"""Property tests of the canonical writer, unify and the tokenizer.
 
 serialize() writes the canonical document by hand; json.dumps of the
 equivalent plain document is the oracle it must match byte for byte.
 On documents with a few corruptions, deserialize() must report the
 error, its place and its message, that a recursive reader finds first.
-The canvas search for a free connector column must agree with a
-column-by-column loop over free(), and with blocks placed on blank
-cells among writes that test their cells first, free() and
-free_window() must see a cell dictionary of every cell placed or
-written. unify() must agree with a textbook
+unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
 without unifying must not unify with the call. On generated heads and
 calls, each call node the build makes must have one child per clause,
@@ -55,7 +50,6 @@ from sldtree.kb import (COMPARE_OPS, Call, Clause, Compare, Cut, Disjunction,
                         FailGoal, Negation, Program, TrueGoal,
                         goal_variables, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
-from sldtree.render import _Canvas, _leaf_block
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
                                ViewTree, deserialize, serialize)
 from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
@@ -187,98 +181,6 @@ def test_deserialize_reports_the_errors_the_recursive_reader_reports(
         deserialize(json.dumps(doc))
     assert (got.value.where, got.value.message) == (
         want.value.where, want.value.message)
-
-
-writes = st.lists(st.tuples(st.integers(0, 3), st.integers(-12, 20),
-                            st.text(alphabet=" x/", min_size=1, max_size=5)),
-                  max_size=8)
-
-
-def _canvas(offset, ops) -> _Canvas:
-    canvas = _Canvas(offset)
-    for r, c, text in ops:
-        canvas.write(r, c, text)
-    return canvas
-
-
-@given(st.integers(0, 6), writes, st.integers(0, 4), st.integers(-20, 30),
-       st.integers(1, 5), st.sampled_from((1, -1)))
-def test_free_window_is_the_first_free_step(offset, ops, r, c, width, step):
-    canvas = _canvas(offset, ops)
-    col = c
-    while not canvas.free(r, col, col + width):
-        col += step
-    assert canvas.free_window(r, c, width, step) == col
-
-
-@given(st.integers(0, 6), writes, st.integers(0, 4), st.integers(-20, 30),
-       st.integers(0, 6))
-def test_canvas_keeps_every_cell_written(offset, ops, r, c0, span):
-    # a cell dictionary is the model: later writes win, nothing wraps
-    canvas = _canvas(offset, ops)
-    cells = {}
-    for row, c, text in ops:
-        for k, ch in enumerate(text):
-            cells[row, c + k] = ch
-    for (row, c), ch in cells.items():
-        assert canvas.rows[row][c + canvas.off] == ch
-    blank = all(cells.get((r, c), " ") == " " for c in range(c0, c0 + span))
-    assert canvas.free(r, c0, c0 + span) == blank
-
-
-# writes, placements of leaf blocks, as (rows down, columns right of the
-# last, text), and free() tests, in any order; a leaf's text neither
-# starts nor ends with a blank, as a goal list or glyph does
-canvas_ops = st.lists(st.one_of(
-    st.tuples(st.just("w"), st.integers(0, 3), st.integers(-12, 20),
-              st.text(alphabet=" x/", min_size=1, max_size=5)),
-    st.tuples(st.just("p"), st.integers(0, 2), st.integers(0, 4),
-              st.text(alphabet=" x/", min_size=1, max_size=5).map(
-                  lambda t: t.strip() or "x")),
-    st.tuples(st.just("t"), st.integers(0, 6), st.integers(-20, 30),
-              st.integers(1, 5))), max_size=10)
-
-
-@given(st.integers(0, 6), canvas_ops, st.integers(0, 6),
-       st.integers(-20, 30), st.integers(1, 5), st.sampled_from((1, -1)))
-def test_canvas_pastes_placed_blocks_onto_blank_cells(
-        offset, ops, r, c, width, step):
-    # the model: a block is placed only on cells it holds blank, and goes
-    # in whole; while blocks are placed, a write first tests its cells,
-    # as a run or a label does, and is made only if they are blank. A
-    # later write wins, a blank too. The blocks go down the rows, side
-    # by side on one row, as the layout places its children
-    canvas, cells, top, right = _Canvas(offset), {}, 0, 0
-
-    def blank(r, c0, c1):
-        return all(cells.get((r, c), " ") == " " for c in range(c0, c1))
-
-    for kind, row, col, x in ops:
-        if kind == "w":
-            end = col + len(x)
-            if canvas.kids:
-                free = canvas.free(row, col, end)
-                assert free == blank(row, col, end)
-                if not free:
-                    continue
-            canvas.write(row, col, x)
-            cells.update(((row, col + k), ch) for k, ch in enumerate(x))
-        elif kind == "p":
-            at, left = top + row, right * (not row) + col
-            if not blank(at, left, left + len(x)):
-                continue
-            canvas.place(_leaf_block(x), at, left)
-            cells.update(((at, left + k), ch) for k, ch in enumerate(x))
-            top, right = at, left + len(x)
-        else:
-            assert canvas.free(row, col, col + x) == blank(row, col, col + x)
-    want = c
-    while not blank(r, want, want + width):
-        want += step
-    assert canvas.free_window(r, c, width, step) == want
-    ink = {(row, k - canvas.off): ch for row, text in enumerate(canvas.rows)
-           for k, ch in enumerate(text) if ch != " "}
-    assert ink == {cell: ch for cell, ch in cells.items() if ch != " "}
 
 
 # -- unify ------------------------------------------------------------------

@@ -27,22 +27,22 @@ def fixture_tree(name):
 def test_two_fact_tree_golden():
     tree = build("p(a). p(b).", "p(X)")
     assert render_text(tree) == (
-        "  [p(X)]\n"
-        "X=a / \\ X=b\n"
-        "   /    \\\n"
-        "  []   []\n")
+        "   [p(X)]\n"
+        "     / \\\n"
+        "X=a /    \\ X=b\n"
+        "   []   []\n")
 
 
 def test_three_way_tree_golden():
     tree = build("p(a). p(b). p(c) :- fail.", "p(X), fail")
     assert render_text(tree) == (
-        "        [p(X),fail]\n"
-        "    X=a /   / X=b \\ X=c\n"
-        "   /        /          \\\n"
-        "[fail]   [fail]   [fail,fail]\n"
-        "   |        |          |\n"
-        "   |        |          |\n"
-        "   x        x          x\n")
+        "         [p(X),fail]\n"
+        "         /   /     \\\n"
+        "X=a /        / X=b      \\ X=c\n"
+        " [fail]   [fail]   [fail,fail]\n"
+        "    |        |          |\n"
+        "    |        |          |\n"
+        "    x        x          x\n")
 
 
 def test_single_leaf_tree():
@@ -157,8 +157,8 @@ def test_edge_labels_stack_on_multi_binding_edges():
 
 
 def test_flat_table_keeps_every_label():
-    # a wide flat row draws connector runs left of the canvas origin;
-    # those writes must grow the canvas, not wrap onto the right end
+    # a wide flat row keeps a few children and hangs the rest on the
+    # trunk, each with its label beside its branch
     names = [f"k{i:03d}" for i in range(100)]
     tree = build("".join(f"fact({x}). " for x in names), "fact(X)")
     text = render_text(tree, RenderOptions(max_width=120))
@@ -212,18 +212,16 @@ def _open(goals=(), kids=()) -> ViewNode:
                     tuple(ViewEdge((), kid) for kid in kids))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: only a space is a blank cell, so a run steps into "
-    "the blanks inside a quoted atom"))
 def test_a_run_does_not_step_into_the_blanks_of_a_quoted_atom():
-    # the first and last kids are dropped onto bands of their own; the
-    # last one's run crosses the first one's band, and the three blanks
-    # inside 'a   b' are the free cells it steps to
+    # the first and last kids are dropped; when runs tested cells, the
+    # last one's run crossed the first one's band and stepped into the
+    # three blanks inside 'a   b'
     goals = ["p('a   b')"] * 2
     view = ViewTree(_open((), [_open(goals)] + [_open()] * 5
                           + [_open((), [_open()] * 4)]), False)
     text = render_text(view, RenderOptions(max_width=40))
-    assert "[p('a   b'),p('a   b')]" in text.splitlines()
+    assert any("[p('a   b'),p('a   b')]" in line
+               for line in text.splitlines())
 
 
 def render_lines(tree):
@@ -287,12 +285,10 @@ def fact_table(n):
 def test_each_byte_drawn_is_inked_a_bounded_number_of_times(
         monkeypatch, shape, small, big):
     # traced lines miss the copying done inside one C-level call, so this
-    # counts the characters of every row render._ink makes: the rows a
-    # paste paints into a block, and the drawing's. Per byte, perm 4 inks
-    # x1.35 what perm 3 does, as a block with a dropped child inks the
-    # rows above its last dropped band once more; a paste that repainted
-    # every row of its canvas would double it on the table, whose blocks
-    # paste once for each band they drop
+    # counts the characters of every row render._ink makes. The drawing
+    # inks each of its rows once; a layout that inked a block's rows into
+    # each of its ancestors, or once for each child it drops, would ink
+    # more per byte on the bigger tree
     inked = 0
     real_ink = render._ink
 
@@ -312,28 +308,9 @@ def test_each_byte_drawn_is_inked_a_bounded_number_of_times(
     assert per_byte[1] <= 1.5 * per_byte[0]
 
 
-def test_paint_slices_of_the_rows_are_linear_in_the_drawing(monkeypatch):
-    # neither traced lines nor inked characters see the entries a slice
-    # of `runs` copies inside _paint: an open-ended runs[top + k:] would
-    # copy every row below each block of the chain, 1 entry per output
-    # row becoming about depth / 2. So _paint is handed a list that
-    # counts the entries of each slice taken from it
-    taken = 0
-
-    class Runs(list):
-        def __getitem__(self, i):
-            nonlocal taken
-            got = list.__getitem__(self, i)
-            if type(i) is slice:
-                taken += len(got)
-            return got
-
-    real_paint = render._paint
-    monkeypatch.setattr(render, "_paint",
-                        lambda runs, stack: real_paint(Runs(runs), stack))
-    per_row = []
-    for depth in (200, 400):
-        taken = 0
-        text = render_text(chain(depth))
-        per_row.append(taken / text.count("\n"))
-    assert per_row[1] <= 1.5 * per_row[0]
+def test_a_fact_table_draws_in_bytes_linear_in_its_fan_out():
+    # a dropped fact hangs on the trunk on rows of its own; when each
+    # dropped child's run crossed every row above it, the drawing grew
+    # with the square of the fan-out, x4.2 from 500 facts to 1,000
+    size = [len(render_text(fact_table(n))) for n in (500, 1000)]
+    assert size[1] / size[0] <= 2.2

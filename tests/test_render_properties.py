@@ -1,23 +1,22 @@
-"""The drawing against the pasting layout it replaced, what it must
-show, and that both kinds of node write the same text.
+"""What the drawing must show, that it is drawn by construction, and
+that both kinds of node write the same text.
 
-render_text keeps each child block where it is placed and paints the
-drawing once; tests/reference_render.py keeps the layout that pasted
-every child's lines into each of its ancestors. Both must draw the same
-bytes: on generated view trees with fan-outs up to 12 (so children are
-dropped onto bands of their own), multi-line labels, goal texts with
-spaces and every status, at widths 40 to 140; and on every bundled
-fixture and every program in tests/golden/db, at widths 40, 60 and 120.
+The layout places every piece once, so the properties are checked on
+its blocks: no two pieces share a cell and every piece lies inside its
+block; every run, a dropped child's branch too, has one glyph per row,
+and its last glyph is directly above its child's anchor; the trunk that
+dropped children hang on has a glyph on every row from the band down to
+its last branch. And every open node's goal list and every label line
+of an edge that is not pruned is drawn whole on one line.
 
-Goals and labels are generated as the printer writes them: spaces
-inside, never whitespace at either end.
-
-On the same programs and widths, and on two trees that once lost text,
-every open node's goal list and every label line of an edge that is not
-pruned is drawn on one line, and the canvas writes each run and label
-only on blank cells, with no child block waiting to be pasted. These
-draw the SearchTree itself, as the command line does; a tree and its
-to_view() copy are written to the same bytes by both writers.
+Both are checked on generated view trees with fan-outs up to 12 (so
+children are dropped onto the trunk), multi-line labels, goal texts
+with spaces and every status, at widths 40 to 140; and on every bundled
+fixture and every program in tests/golden/db, at widths 40, 60 and
+120. Goals and labels are generated as the printer writes them: spaces
+inside, never whitespace at either end. These draw the SearchTree
+itself, as the command line does; a tree and its to_view() copy are
+written to the same bytes by both writers.
 """
 from pathlib import Path
 
@@ -28,7 +27,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_render import reference_render
 from sldtree import render
 from sldtree.engine import Limits, build_tree
 from sldtree.fixtures import FIXTURES, fixture_names, load_fixture
@@ -37,7 +35,7 @@ from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, serialize,
                                to_view)
 from test_golden import DB, DRAWN, SCALED
-from test_render import _open, perm, shown_strings
+from test_render import _open, shown_strings
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -78,18 +76,9 @@ def _flat(n: int) -> ViewTree:
     return ViewTree(ViewNode(("p(X,Y)", "V < 10"), "open", edges), False)
 
 
-# a dropped child's vertical run meets a kept child and steps around it
+# a dropped child's run once crossed a kept child's box here
 _CROSSED = ViewTree(_open((), [_open(), _open(["p(X)"] * 2),
                                _open((), [_open()] * 4), _open()]), False)
-
-
-@settings(deadline=None)
-@given(views, st.integers(40, 140))
-@example(_flat(12), 40)
-@example(_CROSSED, 40)
-def test_the_drawing_is_the_pasting_layouts(view, width):
-    assert render_text(view, RenderOptions(max_width=width)) == (
-        reference_render(view, width))
 
 
 def _program(db: str):
@@ -109,18 +98,70 @@ def _cases():
     return out
 
 
+GLYPHS = ("/", "|", "\\")
+
+
+def _check_block(b: render._Block, top: int, left: int, cells: set) -> None:
+    """The construction properties of block `b`, drawn with its row 0 at
+    `top` and its column 0 at `left`; `cells` holds the cells drawn so
+    far and gets those of b's pieces."""
+    for stroke in b.strokes:
+        for r, c, text in stroke:
+            assert 0 <= r < b.height and 0 <= c <= b.width - len(text)
+            for k in range(len(text)):
+                assert (top + r, left + c + k) not in cells, (r, c, text)
+                cells.add((top + r, left + c + k))
+    for kid, r, c in b.kids:
+        assert 0 < r <= b.height - kid.height
+        assert 0 <= c <= b.width - kid.width
+    runs = [s for s in b.strokes if all(t in GLYPHS for _, _, t in s)]
+    for run in runs:  # one glyph per row, on the rows in order
+        assert [r for r, _, _ in run] == list(range(run[0][0],
+                                                    run[0][0] + len(run)))
+    ends = {run[-1][:2]: run for run in runs}
+    above = [(ends.pop((r - 1, c + kid.anchor), None), c)
+             for kid, r, c in b.kids]
+    assert all(run for run, _ in above) and len(ends) <= 1
+    branches = [(run, c) for run, c in above if run[0][0] > 1]
+    if not branches:
+        assert not ends
+        return
+    # the trunk: from the band's first row down to the row above its last
+    # branch, | straight down below the band; each branch leaves it to
+    # the right, and its block is 2 columns or more right of it
+    (trunk,) = ends.values()
+    band = b.kids[0][1] - 1
+    _, column, _ = trunk[band - 1]
+    assert trunk[0][0] == 1
+    assert trunk[band:] == [(r, column, "|")
+                            for r in range(band + 1, len(trunk) + 1)]
+    assert max(run[0][0] for run, _ in branches) == len(trunk) + 1
+    for run, c in branches:
+        assert run[0][1] > column and c >= column + 2
+
+
+def _check_layout(tree, width: int) -> None:
+    """Check every block of the layout of `tree` at `width`."""
+    cells: set = set()
+    stack = [(render._layout(tree, width), 0, 0)]
+    while stack:
+        b, top, left = stack.pop()
+        _check_block(b, top, left, cells)
+        stack.extend((kid, top + r, left + c) for kid, r, c in b.kids)
+
+
+@settings(deadline=None)
+@given(views, st.integers(40, 140))
+@example(_flat(12), 40)
+@example(_CROSSED, 40)
+def test_views_draw_by_construction(view, width):
+    _check_layout(view, width)
+    assert _missing(view, width) == []
+
+
 def test_the_cases_cover_every_golden_program():
     used = {Path(db).name for _, db, _, _ in _cases()}
     assert {p.name for p in DB.glob("*.pl")} <= used
-
-
-@pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
-                         ids=[c[0] for c in _cases()])
-def test_programs_draw_as_the_pasting_layout_does(db, query, limits):
-    tree = build_tree(_program(db), parse_query(query), limits)
-    for width in (40, 60, 120):
-        assert render_text(tree, RenderOptions(max_width=width)) == (
-            reference_render(to_view(tree), width)), width
 
 
 @pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
@@ -144,6 +185,14 @@ def _missing(tree, width: int) -> list[str]:
 
 @pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
                          ids=[c[0] for c in _cases()])
+def test_programs_draw_by_construction(db, query, limits):
+    tree = build_tree(_program(db), parse_query(query), limits)
+    for width in (40, 60, 120):
+        _check_layout(tree, width)
+
+
+@pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
+                         ids=[c[0] for c in _cases()])
 def test_programs_draw_every_goal_list_and_label(db, query, limits):
     tree = build_tree(_program(db), parse_query(query), limits)
     for width in (40, 60, 120):
@@ -154,34 +203,5 @@ def test_programs_draw_every_goal_list_and_label(db, query, limits):
                          ids=("crossed", "flat-12"))
 def test_runs_and_forced_labels_draw_every_string(view):
     # a vertical run once wrote over [p(X),p(X)] in the first; the second
-    # forces its compose, which once skipped the labels that did not fit
+    # once forced its labels far from their runs, and before that lost them
     assert _missing(view, 40) == []
-
-
-def _trees_written():
-    """(name, tree, width): the cases at widths 40, 60 and 120, perm 3
-    and the crossed tree."""
-    for name, db, query, limits in _cases():
-        tree = build_tree(_program(db), parse_query(query), limits)
-        for width in (40, 60, 120):
-            yield name, tree, width
-    yield "perm-3", perm(3), 120
-    yield "crossed", _CROSSED, 40
-
-
-def test_every_write_lands_on_blank_cells_with_no_block_placed(monkeypatch):
-    # every run glyph and label tests its cells first, and a test pastes
-    # the placed blocks, so nothing is ever drawn over
-    real_write = render._Canvas.write
-    where = None
-
-    def write(canvas, r, c, text):
-        placed = len(canvas.kids)
-        assert placed == 0, (where, r, c, text)
-        assert canvas.free(r, c, c + len(text)), (where, r, c, text)
-        real_write(canvas, r, c, text)
-
-    monkeypatch.setattr(render._Canvas, "write", write)
-    for name, tree, width in _trees_written():
-        where = name, width
-        render_text(tree, RenderOptions(max_width=width))
