@@ -2,7 +2,10 @@
 
 A conjunction is not a goal variant: the engine works on goal sequences
 (tuples), so "a, b, c" is just three goals in a row. Disjunction and
-negation hold whole sequences for the same reason.
+negation hold whole sequences for the same reason. Every goal class is
+a slotted class that sets its fields through its slot descriptors, and
+a terms.Value, so a goal nested any depth in ';' and '\\+' compares,
+hashes and prints as a flat one does.
 """
 from __future__ import annotations
 
@@ -11,13 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import (Atom, Compound, Frozen, Term, Variable, indicator,
+from .terms import (Atom, Compound, Term, Value, Variable, indicator,
                     is_callable, variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
 
-class Call(Frozen):
+class Call(Value):
     """A goal that calls a predicate: the most common goal, made at every
     resolution step, so a plain slotted class like the terms."""
     __slots__ = ("term",)
@@ -27,88 +30,8 @@ class Call(Frozen):
             raise ValueError(f"goal is not callable: {term!r}")
         _set_term(self, term)
 
-    def __repr__(self) -> str:
-        return f"Call(term={self.term!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is Call:
-            return self.term == other.term
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.term)
-
-
-_set_term = Call.term.__set__
-
-
-class _Nest(Frozen):
-    """A goal that holds goal sequences, one per slot. ==, hash() and
-    repr() loop over an explicit stack, so a goal nested any depth in
-    ';' and '\\+' compares, hashes and prints as a flat one does; the
-    other goals and the terms do not recurse."""
-    __slots__ = ()
-
-    def _seqs(self) -> list[GoalSeq]:
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        stack: list = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, _Nest):
-                for x, y in zip(a._seqs(), b._seqs()):
-                    if len(x) != len(y):
-                        return False
-                    stack.extend(zip(x, y))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        # the hash of the goal's pre-order tokens, a nest giving its class
-        # and the lengths of its sequences: equal goals give equal tokens
-        tokens: list = []
-        stack: list = [self]
-        while stack:
-            g = stack.pop()
-            if isinstance(g, _Nest):
-                seqs = g._seqs()
-                tokens += type(g).__name__, *map(len, seqs)
-                for seq in reversed(seqs):
-                    stack.extend(reversed(seq))
-            else:
-                tokens.append(g)
-        return hash(tuple(tokens))
-
-    def __repr__(self) -> str:
-        out: list[str] = []
-        stack: list = [self]  # goals, and the text that goes between them
-        while stack:
-            g = stack.pop()
-            if type(g) is str:
-                out.append(g)
-            elif isinstance(g, _Nest):
-                out.append(f"{type(g).__name__}(")
-                parts: list = []
-                for name, seq in zip(g.__slots__, g._seqs()):
-                    parts.append(f"{name}=(")
-                    parts += [p for x in seq for p in (", ", x)][1:]
-                    parts += ",)" if len(seq) == 1 else ")", ", "
-                parts[-1] = ")"  # for the ", " after the last sequence
-                stack.extend(reversed(parts))
-            else:
-                out.append(repr(g))
-        return "".join(out)
-
-
-class Disjunction(_Nest):
+class Disjunction(Value):
     __slots__ = ("left", "right")
 
     def __init__(self, left: GoalSeq, right: GoalSeq) -> None:
@@ -116,44 +39,49 @@ class Disjunction(_Nest):
         _set_right(self, right)
 
 
-class Negation(_Nest):
+class Negation(Value):
     __slots__ = ("inner",)
 
     def __init__(self, inner: GoalSeq) -> None:
         _set_inner(self, inner)
 
 
+class Cut(Value):
+    # depth on the search path of the node whose choice point the cut
+    # commits, stamped by the engine; parsed cuts start out unscoped.
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int | None = None) -> None:
+        _set_depth(self, depth)
+
+
+class TrueGoal(Value):
+    __slots__ = ()
+
+
+class FailGoal(Value):
+    __slots__ = ()
+
+
+class Compare(Value):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Term, rhs: Term) -> None:
+        if op not in COMPARE_OPS:
+            raise ValueError(f"unsupported comparison operator: {op}")
+        _set_op(self, op)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
+
+_set_term = Call.term.__set__
 _set_left = Disjunction.left.__set__
 _set_right = Disjunction.right.__set__
 _set_inner = Negation.inner.__set__
-
-
-@dataclass(frozen=True)
-class Cut:
-    # depth on the search path of the node whose choice point the cut
-    # commits, stamped by the engine; parsed cuts start out unscoped.
-    depth: int | None = None
-
-
-@dataclass(frozen=True)
-class TrueGoal:
-    pass
-
-
-@dataclass(frozen=True)
-class FailGoal:
-    pass
-
-
-@dataclass(frozen=True)
-class Compare:
-    op: str
-    lhs: Term
-    rhs: Term
-
-    def __post_init__(self) -> None:
-        if self.op not in COMPARE_OPS:
-            raise ValueError(f"unsupported comparison operator: {self.op}")
+_set_depth = Cut.depth.__set__
+_set_op = Compare.op.__set__
+_set_lhs = Compare.lhs.__set__
+_set_rhs = Compare.rhs.__set__
 
 
 Goal = Union[Call, Disjunction, Negation, Cut, TrueGoal, FailGoal, Compare]

@@ -4,8 +4,9 @@ The format is a fixed-shape JSON document: stable key order, two-space
 indent, no ASCII escaping, one trailing newline. Identical trees
 serialize to identical bytes, which is what golden tests and graders
 diff against. Both writers read a node through node_parts() when they
-reach it. deserialize() gives back a ViewTree, the tree as text, and
-is the exact inverse on serialize's output.
+reach it. deserialize() gives back a ViewTree, the tree as text, and is
+the exact inverse on serialize's output. Views are terms.Value objects:
+they compare, hash and print at any depth.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Callable, Sequence, TypeVar
 from .engine import NodeStatus, SearchNode, SearchTree
 from .errors import PrologError
 from .kb import goal_text
-from .terms import term_text
+from .terms import Value, term_text
 
 FORMAT_NAME = "sld-search-tree/1"
 
@@ -39,21 +40,21 @@ class FormatError(PrologError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class ViewNode:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ViewNode(Value):
     goals: tuple[str, ...]
     status: str
     children: tuple["ViewEdge", ...] = ()
 
 
-@dataclass(frozen=True)
-class ViewEdge:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ViewEdge(Value):
     label: tuple[tuple[str, str], ...]
     node: ViewNode
 
 
-@dataclass(frozen=True)
-class ViewTree:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ViewTree(Value):
     root: ViewNode
     truncated: bool = False
 

@@ -10,9 +10,11 @@ structure is.
 Every resolution step makes terms, so the four classes are plain ones
 with __slots__ and their own __init__: no dataclass machinery runs per
 object. Each __init__ writes its fields through the slot descriptors,
-and assigning to a field afterwards raises AttributeError. A compound's
-==, hash() and repr() loop over an explicit stack, so a term nested any
-depth compares, hashes and prints as a flat one does.
+and assigning to a field afterwards raises AttributeError. A compound,
+like a goal or a view, is a Value: its ==, hash() and repr() read it
+through walk(), one explicit-stack loop, so a value nested any depth
+compares, hashes and prints as a flat one does. write() and
+variables_of() run at every step, and keep loops of their own.
 """
 from __future__ import annotations
 
@@ -103,7 +105,25 @@ class Integer(Frozen):
         return hash(self.value)
 
 
-class Compound(Frozen):
+class Value(Frozen):
+    """Base of the immutable classes that hold other values: ==, hash()
+    and repr() read the value through walk(), so a value nested any
+    depth compares, hashes and prints as a flat one does."""
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or walk(self, _parts) == walk(other, _parts)
+
+    def __hash__(self) -> int:
+        return hash(tuple(walk(self, _parts)))
+
+    def __repr__(self) -> str:
+        return "".join(walk(self, _text))
+
+
+class Compound(Value):
     __slots__ = ("functor", "args", "ground")
 
     def __init__(self, functor: str, args: tuple[Term, ...]) -> None:
@@ -114,53 +134,58 @@ class Compound(Frozen):
         # no variable below: a walk that only rewrites variables skips it
         _set_ground(self, all(map(_ground, args)))
 
-    def __repr__(self) -> str:
-        out: list[str] = []
-        stack: list = [self]  # terms, and the text that goes between them
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            elif type(t) is Compound:
-                out.append(f"Compound({t.functor!r}, (")
-                stack.append("))")
-                for a in reversed(t.args[1:]):
-                    stack += a, ", "
-                stack.append(t.args[0])
-            else:
-                out.append(repr(t))
-        return "".join(out)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Compound:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            for x, y in zip(a.args, b.args):
-                if x is y:
-                    continue
-                if type(x) is Compound and type(y) is Compound:
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
+def walk(root, parts) -> list:
+    """The leaves of root in pre-order, from an explicit stack: an item
+    for which parts(item) is not None stands for the items it returns."""
+    out: list = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        inner = parts(x)
+        if inner is None:
+            out.append(x)
+        else:
+            stack.extend(reversed(inner))
+    return out
 
-    def __hash__(self) -> int:
-        # the hash of the term's pre-order tokens, a compound giving its
-        # functor and arity: equal terms give equal tokens
-        tokens: list = []
-        stack: list[Term] = [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is Compound:
-                tokens += t.functor, len(t.args)
-                stack.extend(reversed(t.args))
-            else:
-                tokens.append(t)
-        return hash(tuple(tokens))
+
+def _parts(x):
+    """What == and hash() read: a value is its class, then its slots (a
+    compound's functor and arguments only); a tuple is its length, then
+    its items. Equal values give equal leaves."""
+    if type(x) is tuple:
+        return (len(x), *x)
+    if type(x) is Compound:
+        return (Compound, x.functor, x.args)
+    if isinstance(x, Value):
+        return (type(x), *[getattr(x, name) for name in x.__slots__])
+    return None
+
+
+def _text(x):
+    """What repr() reads: text, and the values and tuples it prints as
+    text. A compound prints positionally, any other value by keyword."""
+    if type(x) is str:
+        return None
+    names = None
+    if type(x) is tuple:
+        head, items, tail = "(", x, ",)" if len(x) == 1 else ")"
+    elif type(x) is Compound:
+        head, items, tail = f"Compound({x.functor!r}, (", x.args, "))"
+    else:
+        head, tail, names = f"{type(x).__name__}(", ")", x.__slots__
+        items = [getattr(x, name) for name in names]
+    out = [head]
+    for i, item in enumerate(items):
+        if i:
+            out.append(", ")
+        if names:
+            out.append(f"{names[i]}=")
+        out.append(item if type(item) is tuple or isinstance(item, Value)
+                   else repr(item))
+    out.append(tail)
+    return out
 
 
 _set_variable_name = Variable.name.__set__

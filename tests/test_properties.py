@@ -28,11 +28,18 @@ for the query. The engine's goal rewrite must agree with its earlier
 recursive form, goal for goal and name for name, and keep the same
 calls and comparisons. On propositional programs with cut, `;` and
 `\\+`, the solutions of the built tree must be as many as a generator
-solver over goal lists finds.
+solver over goal lists finds. Terms, goals and views must compare as a
+recursive reference does, hash equal when equal, and read back from
+their repr() when they hold no variable. On generated function-free
+programs with variables, the ground instances of the answers must be
+the bottom-up oracle's, each call node must have one child per clause
+of its predicate, and the CLI must exit 0 or 1 to match the answers.
 """
+import io
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -42,12 +49,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bottomup_oracle as oracle
 import sldtree.engine as engine
+from sldtree.cli import EXIT_NO_ANSWERS, EXIT_OK, RunConfig, run
 from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
                             build_tree, solutions)
 from sldtree.errors import CyclicTermError
 from sldtree.kb import (COMPARE_OPS, Call, Clause, Compare, Cut, Disjunction,
-                        FailGoal, Negation, Program, TrueGoal,
+                        FailGoal, Negation, Program, TrueGoal, clause_text,
                         goal_variables, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
@@ -1181,3 +1190,199 @@ def test_cut_disjunction_and_negation_agree_with_a_generator_solver(
         return
     assert len(solutions(tree)) == reference_count(program, query,
                                                    4 * MAX_DEPTH)
+
+
+# -- ==, hash() and repr() of terms, goals and views --------------------------
+
+# the fields of each class that holds other values, as the reference reads
+# them: a compound's are its functor and its arguments
+FIELDS = {Compound: ("functor", "args"), Call: ("term",),
+          Disjunction: ("left", "right"), Negation: ("inner",),
+          Cut: ("depth",), TrueGoal: (), FailGoal: (),
+          Compare: ("op", "lhs", "rhs"), ViewTree: ("root", "truncated"),
+          ViewNode: ("goals", "status", "children"),
+          ViewEdge: ("label", "node")}
+GOALS = (Call, Disjunction, Negation, Cut, TrueGoal, FailGoal, Compare)
+
+
+def _kids(x) -> list:
+    if type(x) is tuple:
+        return list(x)
+    return [getattr(x, name) for name in FIELDS.get(type(x), ())]
+
+
+def reference_eq(a, b) -> bool:
+    """Structural equality, by recursion: variables by identity, atoms
+    and integers by their name or value, a cut by its depth, and any
+    other value field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Variable):
+        return a is b
+    if isinstance(a, Atom):
+        return a.name == b.name
+    if isinstance(a, Integer):
+        return a.value == b.value
+    if type(a) is tuple or type(a) in FIELDS:
+        ka, kb = _kids(a), _kids(b)
+        return len(ka) == len(kb) and all(map(reference_eq, ka, kb))
+    return a == b  # str, int, bool, None
+
+
+def rebuilt(x):
+    """x made again of new objects; only its variables are shared."""
+    if type(x) is tuple:
+        return tuple(map(rebuilt, x))
+    if isinstance(x, Atom):
+        return Atom(x.name)
+    if isinstance(x, Integer):
+        return Integer(x.value)
+    if type(x) in FIELDS:
+        return type(x)(*map(rebuilt, _kids(x)))
+    return x
+
+
+def has_variable(x) -> bool:
+    return isinstance(x, Variable) or any(map(has_variable, _kids(x)))
+
+
+# repr() writes a one-argument compound's arguments without the tuple's
+# comma, as "Compound('f', (Atom('a')))"
+NAMESPACE = {**{cls.__name__: cls for cls in FIELDS},
+             "Atom": Atom, "Integer": Integer,
+             "Compound": lambda functor, args: Compound(
+                 functor, args if type(args) is tuple else (args,))}
+
+goal_values = rw_goal_seqs.map(Negation)
+values = st.one_of(terms, goal_values, views)
+value_pairs = st.one_of(st.tuples(terms, terms),
+                        st.tuples(goal_values, goal_values),
+                        st.tuples(views, views))
+
+
+def goals_of(x) -> list:
+    """The goals in x, in pre-order."""
+    here = [x] if isinstance(x, GOALS) else []
+    return here + [g for kid in _kids(x) for g in goals_of(kid)]
+
+
+def edited(x, target):
+    """x made again with `target`, a goal in it, changed in one place
+    only: its class, a cut's depth, or which sequence of a ';' holds a
+    goal."""
+    if x is target:
+        if isinstance(x, Cut):
+            return Cut(None if x.depth is not None else 1)
+        if isinstance(x, Disjunction):
+            if x.left:
+                return Disjunction(x.left[:-1], x.left[-1:] + x.right)
+            return Negation(x.right)
+        if isinstance(x, Negation):
+            return Disjunction(x.inner, ())
+        if isinstance(x, Call) and x.term == Atom("true"):
+            return TrueGoal()
+        return FailGoal() if isinstance(x, TrueGoal) else TrueGoal()
+    if type(x) is tuple:
+        return tuple(edited(kid, target) for kid in x)
+    if type(x) in FIELDS:
+        return type(x)(*(edited(kid, target) for kid in _kids(x)))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_pairs, st.integers(0, 50))
+def test_equality_agrees_with_a_recursive_reference(pair, k):
+    a, b = pair
+    goals = goals_of(a)[1:] or goals_of(a)  # below the top, if it can
+    near = edited(a, goals[k % len(goals)]) if goals else rebuilt(b)
+    for x, y in ((a, b), (a, rebuilt(a)), (rebuilt(b), b), (a, near)):
+        want = reference_eq(x, y)
+        assert (x == y, x != y) == (want, not want)
+        if want:
+            assert hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_a_value_without_variables_reads_back_from_its_repr(x):
+    if not has_variable(x):
+        assert eval(repr(x), NAMESPACE) == x
+
+
+def test_goals_that_differ_only_inside_compare_unequal():
+    assert Negation((Cut(1),)) != Negation((Cut(2),))
+    assert (Disjunction((Call(Atom("true")),), ())
+            != Disjunction((TrueGoal(),), ()))
+
+
+# -- function-free programs with variables, against the bottom-up oracle -----
+
+DF_ATOMS = tuple(Atom(name) for name in "abcd")
+DF_ARITY = {"p": 1, "q": 2, "r": 2}
+# a clause's variables and the query's are apart, as renaming keeps them
+DF_CLAUSE_VARS = (Variable("X"), Variable("Y"), Variable("Z"))
+DF_QUERY_VARS = (Variable("A"), Variable("B"))
+DF_LIMITS = Limits(max_depth=8, max_nodes=2000)
+
+
+def _df_calls(pool):
+    def call(name, args):
+        return Call(Compound(name, tuple(args[:DF_ARITY[name]])))
+    return st.builds(call, st.sampled_from(sorted(DF_ARITY)),
+                     st.lists(st.sampled_from(pool + DF_ATOMS),
+                              min_size=2, max_size=2))
+
+
+df_programs = st.lists(
+    st.builds(lambda head, body: Clause(head.term, tuple(body)),
+              _df_calls(DF_CLAUSE_VARS),
+              st.lists(_df_calls(DF_CLAUSE_VARS), max_size=2)),
+    min_size=1, max_size=6).map(Program)
+df_queries = st.lists(_df_calls(DF_QUERY_VARS), min_size=1,
+                      max_size=2).map(tuple)
+
+
+def ground_instances(tree, pool):
+    """Each answer's values for the query variables, its unbound
+    variables replaced in every way by terms of `pool`."""
+    out = set()
+    for answer in solutions(tree):
+        values = [answer.mapping.get(v, v) for v in tree.query_vars]
+        free = list(dict.fromkeys(t for t in values
+                                  if isinstance(t, Variable)))
+        for combo in product(pool, repeat=len(free)):
+            env = dict(zip(free, combo))
+            out.add(tuple(env.get(t, t) for t in values))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(df_programs, df_queries)
+def test_function_free_programs_agree_with_the_bottom_up_oracle(
+        tmp_path_factory, program, query):
+    tree = build_tree(program, query, DF_LIMITS)
+    if tree.truncated:
+        return
+    # the oracle's universe: the ground terms of the program and query
+    pool: set = set()
+    for t in [c.head for c in program.clauses] + [
+            g.term for goals in [query, *(c.body for c in program.clauses)]
+            for g in goals]:
+        oracle.ground_subterms(t, pool)
+    assert ground_instances(tree, pool) == oracle.answers(program, query)
+
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if node.goals and isinstance(node.goals[0], Call):
+            key = indicator(node.goals[0].term)
+            assert len(node.children) == (
+                len(program.clauses_for(key)) if program.defines(key) else 1)
+
+    db = tmp_path_factory.getbasetemp() / "function-free.pl"
+    db.write_text("".join(clause_text(c) + "\n" for c in program.clauses))
+    cfg = RunConfig(db=str(db), query=seq_text(query), format="answers-only",
+                    limits=DF_LIMITS)
+    assert run(cfg, io.StringIO(), io.StringIO()) == (
+        EXIT_OK if solutions(tree) else EXIT_NO_ANSWERS)

@@ -83,9 +83,30 @@ def test_a_500_deep_chain_round_trips_with_the_recursion_limit_unchanged():
                       limits=Limits(max_depth=500))
     doc = serialize(tree)
     limit = sys.getrecursionlimit()
-    # documents, not views: == on a 500-deep view recurses by itself
-    assert serialize(deserialize(doc)) == doc
+    view = deserialize(doc)
+    assert view == to_view(tree)
+    assert serialize(view) == doc
     assert sys.getrecursionlimit() == limit
+
+
+def test_views_of_a_3000_deep_chain_compare_hash_and_print_at_the_default_limit():
+    chain = parse_program("p :- p.")
+    tree = build_tree(chain, parse_query("p"), limits=Limits(max_depth=3000))
+    shorter = build_tree(chain, parse_query("p"), limits=Limits(max_depth=2999))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the default
+    try:
+        one, two = to_view(tree), to_view(tree)
+        assert one == two and hash(one) == hash(two)
+        assert one != to_view(shorter)
+        text = repr(one)
+    finally:
+        sys.setrecursionlimit(old)
+    step = ("ViewNode(goals=('p',), status='open', children=("
+            "ViewEdge(label=(), node=")
+    leaf = "ViewNode(goals=('p',), status='truncated', children=())"
+    assert text == ("ViewTree(root=" + step * 3001 + leaf + "),))" * 3001
+                    + ", truncated=True)")
 
 
 def test_the_reader_lends_json_a_fixed_limit_and_never_lowers_the_callers(

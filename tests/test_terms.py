@@ -2,8 +2,10 @@ import sys
 
 import pytest
 
-from sldtree.kb import Call, Compare, Disjunction, Negation, goal_variables
+from sldtree.kb import (Call, Compare, Cut, Disjunction, Negation,
+                        goal_variables)
 from sldtree.reader import parse_query, parse_term
+from sldtree.serialize import ViewNode
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
                            indicator, is_callable, list_parts, list_term,
                            term_text, variables_of)
@@ -61,6 +63,9 @@ def test_ground_marks_compounds_without_variables():
     (Call(Atom("p")), "term"),
     (Disjunction((Call(Atom("p")),), ()), "left"),
     (Negation((Call(Atom("p")),)), "inner"),
+    (Cut(1), "depth"),
+    (Compare("<", Integer(1), Integer(2)), "op"),
+    (ViewNode(("p",), "open"), "children"),
 ])
 def test_terms_and_goals_are_immutable(obj, field):
     # a frozen dataclass raises FrozenInstanceError, an AttributeError
@@ -68,6 +73,11 @@ def test_terms_and_goals_are_immutable(obj, field):
     with pytest.raises(AttributeError):
         setattr(obj, field, Atom("b"))
     assert getattr(obj, field) is before
+
+
+def test_a_comparison_with_an_unknown_operator_is_refused():
+    with pytest.raises(ValueError, match="unsupported comparison operator"):
+        Compare("=:=", Integer(1), Integer(2))
 
 
 def test_terms_and_goals_repr():
