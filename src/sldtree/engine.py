@@ -11,8 +11,8 @@ goals through the step's unifier and scopes their unowned cuts, its edge
 label is resolved through the same unifier and memo, and that walk
 collects the names the child shows, which go on the path when it is
 visited. The root shows the query variables' names, found once with
-them. What depends only on the call (its argument keys, its shown
-variables) is found once per node, not once per clause.
+them. The call's shown variables are found once per node, not once per
+clause.
 
 Answers are resolved at the success leaves, in the build's own walk.
 The bindings a clause child's step made, renamed apart from the clause,
@@ -29,12 +29,10 @@ d + 1. Reaching a cut prunes the unexplored siblings at that node and at
 every node below it on the path, so a cut that is the first goal of its
 own target prunes nothing.
 
-A clause whose head clashes with the call at a top-level argument (see
-kb.arg_keys) becomes a failure leaf without renaming or unification.
-Program.candidates indexes the heads by the key at the call's first
-bound argument, so a call into a fact table tries only the clauses that
-do not clash there; the others stay in the tree. Every failure leaf is
-one shared node, which the build never changes.
+A call tries only the clauses that kb.Program.candidates gives; a
+clause it leaves out clashes with the call and becomes a failure leaf
+without renaming or unification. Every failure leaf is one shared node,
+which the build never changes.
 
 The build makes no reference cycles, so the cyclic garbage collector is
 paused while it runs.
@@ -50,8 +48,7 @@ from string import ascii_uppercase
 
 from .errors import InstantiationError, UnknownPredicateError
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
-                 Negation, Program, TrueGoal, arg_keys, goal_text,
-                 goal_variables)
+                 Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import (Compound, Integer, Term, Variable, indicator, term_text,
                     variables_of)
 from .unify import RENAME_STYLES, rename_clause, resolve, unify
@@ -396,8 +393,8 @@ class _Builder:
                ) -> tuple[list[SearchNode], list[Kid]]:
         """Children of `node`, whose floor is `floor`, and a Kid for each;
         `frames` is the path from the root to its parent, so the node's
-        depth is len(frames). What depends only on the call, its argument
-        keys and its shown variables, is found once, not once per clause."""
+        depth is len(frames). The call's shown variables are found once,
+        not once per clause."""
         g, rest = node.goals[0], node.goals[1:]
         depth = len(frames)
         children: list[SearchNode]
@@ -405,39 +402,23 @@ class _Builder:
 
         if isinstance(g, Call):
             key = indicator(g.term)
-            if not self.program.defines(key):
+            clauses = self.program.clauses_for(key)
+            if not clauses:
                 if self.options.unknown == "error":
                     raise UnknownPredicateError(
                         f"unknown predicate {key[0]}/{key[1]} in goal "
                         f"{term_text(g.term)}")
                 children = [_FAIL_LEAF]
             else:
-                # _rewrite resolves every goal term through its step's
-                # bindings, so no argument of a call is a bound variable and
-                # a key that is not None is the argument's own: a head whose
-                # key differs at that position does not unify with it
-                bound = [(i, k) for i, k in enumerate(arg_keys(g.term))
-                         if k is not None]
-                clauses = self.program.clauses_for(key)
-                # the index gives the clauses whose head does not clash at
-                # the first bound position; the others stay failure leaves
-                if bound:
-                    candidates = self.program.candidates(key, *bound.pop(0))
-                else:
-                    candidates = range(len(clauses))
+                # _rewrite resolved the call, as candidates() needs; a
+                # clause it leaves out clashes, and stays a failure leaf
                 shown = [v for v in variables_of(g.term)
                          if not v.is_anonymous]
                 children = [_FAIL_LEAF] * len(clauses)
                 kids = [plain] * len(clauses)
-                for j in candidates:
-                    c = clauses[j]
-                    keys = c.head_keys
-                    for i, k in bound:
-                        if keys[i] not in (None, k):
-                            break
-                    else:
-                        children[j], kids[j] = self._clause_child(
-                            g, shown, rest, c, depth, floor)
+                for j in self.program.candidates(key, g.term):
+                    children[j], kids[j] = self._clause_child(
+                        g, shown, rest, clauses[j], depth, floor)
                 return children, kids
         elif isinstance(g, TrueGoal):
             children = [SearchNode(rest)]

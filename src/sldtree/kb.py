@@ -97,10 +97,6 @@ class Clause:
         if not is_callable(self.head):
             raise ValueError(f"clause head is not callable: {self.head!r}")
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
         """Head then body variables, first occurrence first."""
@@ -130,12 +126,16 @@ class Program:
     def clauses_for(self, key: tuple[str, int]) -> tuple[Clause, ...]:
         return self._by_pred.get(key, ())
 
-    def candidates(self, key: tuple[str, int], position: int,
-                   arg_key) -> Sequence[int]:
+    def candidates(self, key: tuple[str, int], call: Term) -> Sequence[int]:
         """The source-order positions, in clauses_for(key), of the clauses
-        whose head key (see arg_keys) at `position` is `arg_key` or None:
-        the others clash with an argument whose key is `arg_key`. The
-        index holds each position once, and a variable's are merged in."""
+        whose head does not clash with the resolved `call`: wherever the
+        call's argument key (see arg_keys) is not None, the head's is the
+        same or None. The index, which holds each position once, serves
+        the first such argument, and the others are checked on that."""
+        bound = [(i, k) for i, k in enumerate(arg_keys(call)) if k is not None]
+        if not bound:
+            return range(len(self._by_pred[key]))
+        position, arg_key = bound.pop(0)
         entry = self._index.get((key, position))
         if entry is None:
             by_key: dict = {}
@@ -150,19 +150,18 @@ class Program:
                 {k: tuple(ps) for k, ps in by_key.items()}, tuple(unkeyed))
         by_key, unkeyed = entry
         keyed = by_key.get(arg_key, ())
-        if not (keyed and unkeyed):
-            return keyed or unkeyed
-        return sorted(keyed + unkeyed)  # two runs: a linear merge
-
-    def defines(self, key: tuple[str, int]) -> bool:
-        return key in self._by_pred
+        if keyed and unkeyed:
+            keyed = sorted(keyed + unkeyed)  # two runs: a linear merge
+        found = keyed or unkeyed
+        if not bound:
+            return found
+        clauses = self._by_pred[key]
+        return [j for j in found
+                if all(clauses[j].head_keys[i] in (None, k) for i, k in bound)]
 
     @property
     def clauses(self) -> list[Clause]:
         return list(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 def arg_keys(t: Term) -> tuple:
@@ -210,7 +209,7 @@ def _goal_pieces(x) -> tuple:
             return ("\\+ ", x.inner[0])
         return ("\\+ (", x.inner, ")")
     if isinstance(x, Clause):
-        if x.is_fact:
+        if not x.body:
             return (x.head, ".")
         return (x.head, " :- ", x.body, ".")
     raise TypeError(f"not a goal, goal sequence or clause: {x!r}")

@@ -12,7 +12,8 @@ and last kept child. Below it is a band of h rows, h one more than the
 most lines of any child's label and at least 2. The run to a child
 whose anchor is column A has one glyph on each band row r, /, | or \\,
 at column P + (A - P) * r // h, P the parent's anchor, so its last
-glyph is directly above A; the child's block starts below the band. A
+glyph is directly above A; the child's block starts below the band.
+Each glyph shows the run's step from the row above (from P on row 1). A
 child's label lines sit on the band's bottom rows, a blank away from
 its run: on its left for child i < n // 2 of n, on its right otherwise.
 
@@ -98,8 +99,9 @@ def _gap(h: int, u: tuple, v: tuple) -> int:
     return max(3, d - (u[0] - u[1]) - v[1])
 
 
-def _glyph(parent: int, anchor: int) -> str:
-    return "/" if anchor < parent else "\\" if anchor > parent else "|"
+def _glyph(above: int, column: int) -> str:
+    """A run's glyph on a row: its step from the column on the row above."""
+    return "/" if column < above else "\\" if column > above else "|"
 
 
 def _compose(text: str, edges: list, blocks: list[_Block],
@@ -151,8 +153,11 @@ def _compose(text: str, edges: list, blocks: list[_Block],
     kids: list[tuple[_Block, int, int]] = []
     bottom = h + 1
     for (i, x), a in zip(xs, anchors):
-        run = [(r, parent + (a - parent) * r // h, _glyph(parent, a))
-               for r in range(1, h + 1)]
+        run, above = [], parent
+        for r in range(1, h + 1):
+            col = parent + (a - parent) * r // h
+            run.append((r, col, _glyph(above, col)))
+            above = col
         strokes.append(run)
         if i == n:
             continue

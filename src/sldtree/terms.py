@@ -172,7 +172,8 @@ def _text(x):
     if type(x) is tuple:
         head, items, tail = "(", x, ",)" if len(x) == 1 else ")"
     elif type(x) is Compound:
-        head, items, tail = f"Compound({x.functor!r}, (", x.args, "))"
+        head, items = f"Compound({x.functor!r}, (", x.args
+        tail = ",))" if len(items) == 1 else "))"
     else:
         head, tail, names = f"{type(x).__name__}(", ")", x.__slots__
         items = [getattr(x, name) for name in names]

@@ -41,7 +41,7 @@ def test_each_fixture_is_read_once(monkeypatch):
 
 def test_sources_parse():
     for f in FIXTURES:
-        assert len(load_fixture(f.name)) > 0
+        assert load_fixture(f.name).clauses
         assert fixture_text(f.name).rstrip().endswith(".")
 
 
@@ -55,5 +55,5 @@ def test_canonical_queries_run_to_finite_trees(fixture):
 
 def test_wizard_is_deliberately_undefined():
     program = load_fixture("magic")
-    assert not program.defines(("wizard", 1))
-    assert program.defines(("witch", 1))
+    assert not program.clauses_for(("wizard", 1))
+    assert program.clauses_for(("witch", 1))

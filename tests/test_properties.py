@@ -10,7 +10,9 @@ without unifying must not unify with the call. On generated heads and
 calls, each call node the build makes must have one child per clause,
 the one shared failure leaf exactly where unify() finds no unifier, and
 a fact table's success leaves must be the facts that unify, in order,
-whichever clauses the index skips. unify() must also bind
+whichever clauses the index skips. Program.candidates must give the
+heads that clash with the call at no argument, the heads that unify
+with it among them. unify() must also bind
 the same variables to the same terms, in the same order, as its earlier
 queue-only form. The reader's pattern tokenizer must agree with the
 character loop it replaced. expand() on one clause, renamed through the
@@ -408,6 +410,47 @@ def test_a_fact_table_answers_with_the_facts_that_unify(case):
     assert [i for i, c in enumerate(tree.root.children)
             if c.status is NodeStatus.SUCCESS] == unifying
     assert [a.path for a in solutions(tree)] == [(i,) for i in unifying]
+
+
+def _clash(a, b) -> bool:
+    """Whether two arguments differ at the top: neither is a variable, and
+    they are not the same atom, integer, or functor and arity."""
+    if isinstance(a, Variable) or isinstance(b, Variable):
+        return False
+    if type(a) is not type(b):
+        return True
+    if isinstance(a, Compound):
+        return (a.functor, len(a.args)) != (b.functor, len(b.args))
+    return a != b
+
+
+@st.composite
+def index_calls(draw):
+    """A fact table of p/n and up to four calls of it: the index entry
+    the first call builds serves the calls after it."""
+    program, call = draw(indexed_programs(rules=False))
+    n = len(call.term.args)
+    more = draw(st.lists(st.lists(_index_terms(INDEX_CALL_POOL), min_size=n,
+                                  max_size=n), max_size=3))
+    return program, [call.term] + [Compound("p", tuple(a)) for a in more]
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_calls())
+@example((Program([Clause(Compound("p", (Integer(1), Atom("a")))),
+                   Clause(Compound("p", (HEAD_POOL[0], Atom("b")))),
+                   Clause(Compound("p", (Atom("1"), HEAD_POOL[0])))]),
+          [Compound("p", (Integer(1), Atom("b"))),
+           Compound("p", (Atom("1"), Atom("a")))]))
+def test_the_candidates_are_the_heads_that_clash_nowhere(case):
+    program, calls = case
+    heads = [c.head for c in program.clauses]
+    for term in calls:
+        got = list(program.candidates(indicator(term), term))
+        assert got == [j for j, h in enumerate(heads)
+                       if not any(map(_clash, term.args, h.args))]
+        assert {j for j, h in enumerate(heads)
+                if unify(term, h) is not None} <= set(got)
 
 
 # -- unify against its queue-only form ---------------------------------------
@@ -1246,12 +1289,9 @@ def has_variable(x) -> bool:
     return isinstance(x, Variable) or any(map(has_variable, _kids(x)))
 
 
-# repr() writes a one-argument compound's arguments without the tuple's
-# comma, as "Compound('f', (Atom('a')))"
+# the names repr() writes, for eval() to read back
 NAMESPACE = {**{cls.__name__: cls for cls in FIELDS},
-             "Atom": Atom, "Integer": Integer,
-             "Compound": lambda functor, args: Compound(
-                 functor, args if type(args) is tuple else (args,))}
+             "Atom": Atom, "Integer": Integer, "Compound": Compound}
 
 goal_values = rw_goal_seqs.map(Negation)
 values = st.one_of(terms, goal_values, views)
@@ -1377,8 +1417,7 @@ def test_function_free_programs_agree_with_the_bottom_up_oracle(
         stack.extend(node.children)
         if node.goals and isinstance(node.goals[0], Call):
             key = indicator(node.goals[0].term)
-            assert len(node.children) == (
-                len(program.clauses_for(key)) if program.defines(key) else 1)
+            assert len(node.children) == (len(program.clauses_for(key)) or 1)
 
     db = tmp_path_factory.getbasetemp() / "function-free.pl"
     db.write_text("".join(clause_text(c) + "\n" for c in program.clauses))

@@ -32,10 +32,10 @@ def test_error_position_spans_lines():
 
 def test_facts_and_rules():
     prog = parse_program("p(a). q(X) :- p(X).")
-    assert len(prog) == 2
+    assert len(prog.clauses) == 2
     fact, rule = prog.clauses
     assert fact == Clause(Compound("p", (Atom("a"),)))
-    assert fact.is_fact
+    assert not fact.body
     assert rule.head == Compound("q", (rule.body[0].term.args[0],))
     assert isinstance(rule.body[0], Call)
 
@@ -116,7 +116,7 @@ def test_quoted_atoms():
 
 def test_comments_are_skipped():
     prog = parse_program("% leading note\np(a). % trailing\n% done\n")
-    assert len(prog) == 1
+    assert len(prog.clauses) == 1
 
 
 def test_variables_scope_per_clause():

@@ -38,7 +38,7 @@ def test_three_way_tree_golden():
     assert render_text(tree) == (
         "         [p(X),fail]\n"
         "         /   /     \\\n"
-        "X=a /        / X=b      \\ X=c\n"
+        "X=a /        | X=b      \\ X=c\n"
         " [fail]   [fail]   [fail,fail]\n"
         "    |        |          |\n"
         "    |        |          |\n"

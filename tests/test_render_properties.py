@@ -3,7 +3,8 @@ that both kinds of node write the same text.
 
 The layout places every piece once, so the properties are checked on
 its blocks: no two pieces share a cell and every piece lies inside its
-block; every run, a dropped child's branch too, has one glyph per row,
+block; every run, a dropped child's branch too, has one glyph per row, each
+/, | or \\ as the run steps left, down or right from the row above,
 and its last glyph is directly above its child's anchor; the trunk that
 dropped children hang on has a glyph on every row from the band down to
 its last branch. And every open node's goal list and every label line
@@ -35,7 +36,7 @@ from sldtree.render import RenderOptions, render_text
 from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, serialize,
                                to_view)
 from test_golden import DB, DRAWN, SCALED
-from test_render import _open, shown_strings
+from test_render import _open, build, shown_strings
 
 STATUSES = ("open", "success", "fail", "pruned", "truncated")
 
@@ -101,6 +102,14 @@ def _cases():
 GLYPHS = ("/", "|", "\\")
 
 
+def _check_steps(run: list, above: int) -> None:
+    """Each glyph of `run` shows its step, /, | or \\, from the column
+    of the row above; `above` is that of the row before its first."""
+    columns = [above] + [c for _, c, _ in run]
+    assert [t for _, _, t in run] == [GLYPHS[(c > a) - (c < a) + 1]
+                                       for a, c in zip(columns, columns[1:])]
+
+
 def _check_block(b: render._Block, top: int, left: int, cells: set) -> None:
     """The construction properties of block `b`, drawn with its row 0 at
     `top` and its column 0 at `left`; `cells` holds the cells drawn so
@@ -118,6 +127,8 @@ def _check_block(b: render._Block, top: int, left: int, cells: set) -> None:
     for run in runs:  # one glyph per row, on the rows in order
         assert [r for r, _, _ in run] == list(range(run[0][0],
                                                     run[0][0] + len(run)))
+        if run[0][0] == 1:  # a band's run leaves the parent's anchor
+            _check_steps(run, b.anchor)
     ends = {run[-1][:2]: run for run in runs}
     above = [(ends.pop((r - 1, c + kid.anchor), None), c)
              for kid, r, c in b.kids]
@@ -138,6 +149,7 @@ def _check_block(b: render._Block, top: int, left: int, cells: set) -> None:
     assert max(run[0][0] for run, _ in branches) == len(trunk) + 1
     for run, c in branches:
         assert run[0][1] > column and c >= column + 2
+        _check_steps(run, column)
 
 
 def _check_layout(tree, width: int) -> None:
@@ -205,3 +217,9 @@ def test_runs_and_forced_labels_draw_every_string(view):
     # a vertical run once wrote over [p(X),p(X)] in the first; the second
     # once forced its labels far from their runs, and before that lost them
     assert _missing(view, 40) == []
+
+
+def test_a_run_that_does_not_move_is_drawn_straight():
+    # the middle run was once drawn / on both band rows, one column left
+    # of the parent's anchor, though it moves only on the first
+    _check_layout(build("p(a). p(b). p(c) :- fail.", "p(X), fail"), 40)

@@ -84,7 +84,7 @@ def test_terms_and_goals_repr():
     t = Compound("f", (Variable("X"), Atom("a"), Integer(-3)))
     assert repr(t) == ("Compound('f', (Variable('X'), Atom('a'), "
                        "Integer(-3)))")
-    assert repr(Compound("g", (Atom("[]"),))) == "Compound('g', (Atom('[]')))"
+    assert repr(Compound("g", (Atom("[]"),))) == "Compound('g', (Atom('[]'),))"
     assert repr(Call(t)) == ("Call(term=Compound('f', (Variable('X'), "
                              "Atom('a'), Integer(-3))))")
     p, q = Call(Atom("p")), Call(Atom("q"))
@@ -101,7 +101,7 @@ def test_terms_nested_100000_deep_compare_hash_and_repr_at_the_default_limit():
     assert hash(one) == hash(two)
     other = parse_term(text.replace("a", "b"))  # differs at the innermost leaf
     assert one != other and not one == other
-    assert repr(one) == "Compound('f', (" * n + "Atom('a')" + "))" * n
+    assert repr(one) == "Compound('f', (" * n + "Atom('a')" + ",))" * n
 
 
 @pytest.mark.parametrize("opener, nest", [
