@@ -71,7 +71,7 @@ def _tripped_text(tree: SearchTree, limits: Limits) -> str:
 def _load_db(source: str) -> str:
     path = Path(source)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     try:
         return fixture_text(source)
     except KeyError:

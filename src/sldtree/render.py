@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SearchTree
-from .serialize import Parts, ViewTree, fold, node_parts
+from .serialize import Parts, fold, node_parts
 
 MIN_WIDTH = 40
 # what a leaf that is not an open goal list is drawn as, by status
@@ -194,7 +194,7 @@ def _compose(text: str, edges: list, blocks: list[_Block],
     return _Block(strokes, kids, right - left, bottom, parent - left)
 
 
-def _layout(tree: SearchTree | ViewTree, max_width: int) -> _Block:
+def _layout(tree: SearchTree, max_width: int) -> _Block:
     def block(parts: Parts, blocks: list[_Block]) -> _Block:
         text = GLYPHS.get(parts[1]) or f"[{','.join(parts[0])}]"
         if not blocks:
@@ -204,8 +204,7 @@ def _layout(tree: SearchTree | ViewTree, max_width: int) -> _Block:
                 lambda p: [node_parts(c) for _, _, c in p[2]], block)
 
 
-def render_text(tree: SearchTree | ViewTree,
-                options: RenderOptions | None = None) -> str:
+def render_text(tree: SearchTree, options: RenderOptions | None = None) -> str:
     opts = options or RenderOptions()
     root = _layout(tree, opts.max_width)
     rows: list[list[tuple[int, str]]] = [[] for _ in range(root.height)]

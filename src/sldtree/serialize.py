@@ -3,10 +3,10 @@
 The format is a fixed-shape JSON document: stable key order, two-space
 indent, no ASCII escaping, one trailing newline. Identical trees
 serialize to identical bytes, which is what golden tests and graders
-diff against. Both writers read a node through node_parts() when they
-reach it. deserialize() gives back a ViewTree, the tree as text, and is
-the exact inverse on serialize's output. Views are terms.Value objects:
-they compare, hash and print at any depth.
+diff against. Both writers take the SearchTree the build made and read
+a node through node_parts() when they reach it. deserialize() gives
+back a ViewTree, equal to to_view() of the tree written. Views are
+terms.Value objects: they compare, hash and print at any depth.
 """
 from __future__ import annotations
 
@@ -81,19 +81,16 @@ def fold(root: _N, kids: Callable[[_N], Sequence[_N]],
 
 # a node as text: its goal texts, its status and, per child, the label's
 # (name, text) pairs, the child's status and the child
-Parts = tuple[tuple[str, ...], str, list[tuple[tuple, str, object]]]
+Parts = tuple[tuple[str, ...], str, list[tuple[tuple, str, SearchNode]]]
 
 
-def node_parts(node: SearchNode | ViewNode) -> Parts:
-    if isinstance(node, ViewNode):
-        return node.goals, node.status, [(e.label, e.node.status, e.node)
-                                         for e in node.children]
+def node_parts(node: SearchNode) -> Parts:
     return (tuple(map(goal_text, node.goals)), node.status.value,
             [(tuple((v.name, term_text(t)) for v, t in c.label.bindings),
               c.status.value, c) for c in node.children])
 
 
-def to_view(tree: SearchTree | ViewTree) -> ViewTree:
+def to_view(tree: SearchTree) -> ViewTree:
     def view(parts: Parts, kids: list[ViewNode]) -> ViewNode:
         return ViewNode(parts[0], parts[1], tuple(
             ViewEdge(e[0], kid) for e, kid in zip(parts[2], kids)))
@@ -119,7 +116,7 @@ def _array(out: list[str], items: list[tuple[str, ...]], inner: str,
     out.extend((outer, "]"))
 
 
-def serialize(tree: SearchTree | ViewTree) -> str:
+def serialize(tree: SearchTree) -> str:
     """The bytes of json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
     written in one pre-order walk. Indents are shared pieces, built
     once per level, so a deep tree costs no more than its text."""

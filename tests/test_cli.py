@@ -340,6 +340,14 @@ def test_db_file_that_is_not_utf8_is_an_error(tmp_path):
     assert err.startswith(f"error: {db} is not UTF-8") and err.count("\n") == 1
 
 
+def test_a_db_file_that_starts_with_a_byte_order_mark_is_read(tmp_path):
+    # Windows editors write the UTF-8 mark at the start of a file
+    db = tmp_path / "bom.pl"
+    db.write_bytes(b"\xef\xbb\xbfp(a).\n")
+    assert invoke(RunConfig(db=str(db), query="p(X)",
+                            format="answers-only")) == (EXIT_OK, "X = a\n", "")
+
+
 def test_a_digit_that_int_rejects_is_an_error_not_a_crash(tmp_path, capsys):
     db = tmp_path / "sup.pl"
     db.write_text("p(\u00b2).\n", encoding="utf-8")

@@ -1,9 +1,11 @@
 """Property tests of the canonical writer, unify and the tokenizer.
 
-serialize() writes the canonical document by hand; json.dumps of the
-equivalent plain document is the oracle it must match byte for byte.
-On documents with a few corruptions, deserialize() must report the
-error, its place and its message, that a recursive reader finds first.
+serialize() writes the canonical document by hand; on generated
+SearchTrees, json.dumps of the plain document, made from the goal and
+term texts, is the oracle it must match byte for byte, and deserialize()
+must give back the tree's to_view(). On documents with a few
+corruptions, deserialize() must report the error, its place and its
+message, that a recursive reader finds first.
 unify() must agree with a textbook
 unifier that does the occurs check, and a head that expand() fails
 without unifying must not unify with the call. On generated heads and
@@ -54,15 +56,15 @@ from hypothesis import strategies as st
 import bottomup_oracle as oracle
 import sldtree.engine as engine
 from sldtree.cli import EXIT_NO_ANSWERS, EXIT_OK, RunConfig, run
-from sldtree.engine import (EngineOptions, Limits, NodeStatus, SearchNode,
-                            build_tree, solutions)
+from sldtree.engine import (EdgeLabel, EngineOptions, Limits, NodeStatus,
+                            SearchNode, SearchTree, build_tree, solutions)
 from sldtree.errors import CyclicTermError
 from sldtree.kb import (COMPARE_OPS, Call, Clause, Compare, Cut, Disjunction,
                         FailGoal, Negation, Program, TrueGoal, clause_text,
-                        goal_variables, seq_text)
+                        goal_text, goal_variables, seq_text)
 from sldtree.reader import ParseError, SourcePosition, _position, _tokenize
 from sldtree.serialize import (FORMAT_NAME, FormatError, ViewEdge, ViewNode,
-                               ViewTree, deserialize, serialize)
+                               ViewTree, deserialize, serialize, to_view)
 from sldtree.terms import (Atom, Compound, Integer, Variable, indicator,
                            list_term, term_text, variables_of)
 from sldtree.unify import RENAME_STYLES, rename_clause, resolve, unify
@@ -73,45 +75,63 @@ STATUSES = ("open", "success", "fail", "pruned", "truncated")
 # characters the JSON writer must escape or pass through unescaped
 TRICKY = '"\\/\n\r\t\b\f\x00\x1f\x7f  éß→😀'
 
-texts = st.text(alphabet=st.one_of(st.sampled_from(TRICKY),
+# names of atoms and variables: plain ones, and ones atom_text must quote,
+# with blanks and quotes inside
+texts = st.text(alphabet=st.one_of(st.sampled_from(TRICKY + "'a"),
                                    st.characters()), max_size=6)
-goals = st.lists(texts, max_size=3).map(tuple)
-labels = st.lists(st.tuples(texts, texts), max_size=3).map(tuple)
-leaves = st.builds(ViewNode, goals, st.sampled_from(STATUSES))
 
 
-def _inner(children):
-    edges = st.lists(st.builds(ViewEdge, labels, children), max_size=3)
-    return st.builds(ViewNode, goals, st.sampled_from(STATUSES),
-                     edges.map(tuple))
+def search_trees(names, max_leaves: int, max_kids: int):
+    """SearchTrees of any shape, as the writers read them: a goal is a
+    call of an atom or a comparison, an edge label binds variables to
+    atoms, every name is drawn from `names`, a node has any status and
+    up to `max_kids` children, and the tree may be truncated."""
+    atoms = names.map(Atom)
+    goal_seqs = st.lists(st.one_of(
+        atoms.map(Call),
+        st.builds(Compare, st.sampled_from(COMPARE_OPS), names.map(Variable),
+                  st.integers(-9, 99).map(Integer))), max_size=4).map(tuple)
+    edge_labels = st.lists(st.tuples(names.map(Variable), atoms),
+                           max_size=4).map(lambda b: EdgeLabel(tuple(b)))
+
+    def node(kids):
+        return st.builds(SearchNode, goal_seqs, st.sampled_from(NodeStatus),
+                         edge_labels, kids)
+
+    root = st.recursive(node(st.just(())), lambda children: node(
+        st.lists(children, min_size=1, max_size=max_kids)),
+        max_leaves=max_leaves)
+    return st.builds(lambda r, tripped: SearchTree(r, (), [], tripped), root,
+                     st.sampled_from(((), ("max_depth",))))
 
 
-views = st.builds(ViewTree, st.recursive(leaves, _inner, max_leaves=25),
-                  st.booleans())
+trees = search_trees(texts, 25, 3)
+views = trees.map(to_view)
 
 
-def reference_doc(view: ViewTree) -> dict:
-    def node(n: ViewNode) -> dict:
-        return {"goals": list(n.goals),
-                "status": n.status,
-                "children": [{"label": [[a, b] for a, b in e.label],
-                              "node": node(e.node)}
-                             for e in n.children]}
-    return {"format": FORMAT_NAME, "truncated": view.truncated,
-            "root": node(view.root)}
+def reference_doc(tree: SearchTree) -> dict:
+    def node(n: SearchNode) -> dict:
+        return {"goals": list(map(goal_text, n.goals)),
+                "status": n.status.value,
+                "children": [{"label": [[v.name, term_text(t)]
+                                        for v, t in c.label.bindings],
+                              "node": node(c)}
+                             for c in n.children]}
+    return {"format": FORMAT_NAME, "truncated": tree.truncated,
+            "root": node(tree.root)}
 
 
 @settings(deadline=None)
-@given(views)
-def test_serialize_prints_what_json_dumps_prints(view):
-    want = json.dumps(reference_doc(view), indent=2, ensure_ascii=False)
-    assert serialize(view) == want + "\n"
+@given(trees)
+def test_serialize_prints_what_json_dumps_prints(tree):
+    want = json.dumps(reference_doc(tree), indent=2, ensure_ascii=False)
+    assert serialize(tree) == want + "\n"
 
 
 @settings(deadline=None)
-@given(views)
-def test_deserialize_inverts_serialize(view):
-    assert deserialize(serialize(view)) == view
+@given(trees)
+def test_deserialize_inverts_serialize(tree):
+    assert deserialize(serialize(tree)) == to_view(tree)
 
 
 def _expect(cond, message, path):
@@ -171,11 +191,11 @@ CORRUPTIONS = st.one_of(
 
 
 @settings(deadline=None)
-@given(views, st.lists(st.tuples(CORRUPTIONS, st.integers(0, 10**6)),
+@given(trees, st.lists(st.tuples(CORRUPTIONS, st.integers(0, 10**6)),
                        min_size=1, max_size=3))
 def test_deserialize_reports_the_errors_the_recursive_reader_reports(
-        view, corruptions):
-    doc = reference_doc(view)
+        tree, corruptions):
+    doc = reference_doc(tree)
     objects = {"node": [], "edge": []}
     stack = [doc["root"]]
     while stack:

@@ -3,13 +3,13 @@ import sys
 
 import pytest
 
-from sldtree.engine import Limits, build_tree
+from sldtree.engine import (Limits, NodeStatus, SearchNode, SearchTree,
+                            build_tree)
 from sldtree import render
 from sldtree.fixtures import FIXTURES, load_fixture
+from sldtree.kb import goal_text
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import MIN_WIDTH, RenderOptions, render_text
-from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, deserialize,
-                               serialize, to_view)
 from test_golden import DB
 
 GLYPHS = {"success": "[]", "fail": "x", "pruned": "X", "truncated": "..."}
@@ -94,15 +94,6 @@ def test_rendering_is_deterministic(fixture):
         assert first == second
 
 
-@pytest.mark.parametrize("fixture", [f.name for f in FIXTURES])
-def test_rendering_a_deserialized_tree_matches(fixture):
-    tree = fixture_tree(fixture)
-    view = deserialize(serialize(tree))
-    for width in (120, 55):
-        opts = RenderOptions(max_width=width)
-        assert render_text(view, opts) == render_text(tree, opts)
-
-
 def dfs_leaf_glyphs(node):
     if not node.children:
         return [GLYPHS[node.status.value]]
@@ -169,32 +160,30 @@ def test_chain_deeper_than_the_recursion_limit_draws():
     # not serialized: at this depth the indented document is about 40 MB
     limit = sys.getrecursionlimit()
     tree = build("p :- p.", "p", limits=Limits(max_depth=limit + 100))
-    view = to_view(tree)
     depth = 0
-    node = view.root
+    node = tree.root
     while node.children:
-        (edge,) = node.children
-        node = edge.node
+        (node,) = node.children
         depth += 1
-    assert depth > limit and node.status == "truncated"
+    assert depth > limit and node.status is NodeStatus.TRUNCATED
     lines = render_text(tree).splitlines()
     assert lines.count("[p]") == depth and lines[-1] == "..."
     assert sys.getrecursionlimit() == limit
 
 
-def shown_strings(view):
-    """Every open node's [goals] and every label line of an edge that is
-    not pruned: the text a drawing of `view` has to show."""
+def shown_strings(tree):
+    """Every open node's [goals] and every label line of a child that is
+    not pruned: the text a drawing of `tree` has to show."""
     out = []
-    stack = [view.root]
+    stack = [tree.root]
     while stack:
         node = stack.pop()
-        if node.status == "open":
-            out.append(f"[{','.join(node.goals)}]")
-        for edge in node.children:
-            if edge.node.status != "pruned":
-                out += [f"{name}={text}" for name, text in edge.label]
-            stack.append(edge.node)
+        if node.status is NodeStatus.OPEN:
+            out.append(f"[{','.join(map(goal_text, node.goals))}]")
+        for child in node.children:
+            if child.status is not NodeStatus.PRUNED:
+                out += child.label.lines()
+            stack.append(child)
     return out
 
 
@@ -202,41 +191,50 @@ def test_perm_3_draws_every_goal_list_and_label():
     # a dropped child's vertical run once wrote over two of them
     tree = build((DB / "perm.pl").read_text(), "perm([a,b,c],P)")
     text = render_text(tree, RenderOptions(max_width=120))
-    wanted = shown_strings(to_view(tree))
+    wanted = shown_strings(tree)
     assert len(wanted) == 129
     assert [s for s in wanted if s not in text] == []
 
 
-def _open(goals=(), kids=()) -> ViewNode:
-    return ViewNode(tuple(goals), "open",
-                    tuple(ViewEdge((), kid) for kid in kids))
+def _open(query="", kids=()) -> SearchNode:
+    """An open node with the goals of `query` and these children."""
+    return SearchNode(parse_query(query) if query else (),
+                      children=list(kids))
+
+
+def _tree(root: SearchNode) -> SearchTree:
+    return SearchTree(root, (), [])
 
 
 def test_a_run_does_not_step_into_the_blanks_of_a_quoted_atom():
     # the first and last kids are dropped; when runs tested cells, the
     # last one's run crossed the first one's band and stepped into the
     # three blanks inside 'a   b'
-    goals = ["p('a   b')"] * 2
-    view = ViewTree(_open((), [_open(goals)] + [_open()] * 5
-                          + [_open((), [_open()] * 4)]), False)
-    text = render_text(view, RenderOptions(max_width=40))
+    tree = _tree(_open("", [_open("p('a   b'), p('a   b')")] + [_open()] * 5
+                       + [_open("", [_open()] * 4)]))
+    text = render_text(tree, RenderOptions(max_width=40))
     assert any("[p('a   b'),p('a   b')]" in line
                for line in text.splitlines())
 
 
 def render_lines(tree):
-    """Lines of Python that render_text runs to draw `tree`, made a view
-    first so that only the layout and the painting are counted."""
-    view, lines = to_view(tree), 0
+    """Lines of render.py that render_text runs to draw `tree`: the
+    layout and the painting, not the node text other modules write."""
+    lines = 0
 
     def count_lines(frame, event, arg):
         nonlocal lines
         lines += event == "line"
         return count_lines
 
-    sys.settrace(lambda frame, event, arg: count_lines)
+    def in_render(frame, event, arg):
+        if frame.f_code.co_filename == render.__file__:
+            return count_lines
+        return None
+
+    sys.settrace(in_render)
     try:
-        render_text(view)
+        render_text(tree)
     finally:
         sys.settrace(None)
     return lines

@@ -1,5 +1,4 @@
-"""What the drawing must show, that it is drawn by construction, and
-that both kinds of node write the same text.
+"""What the drawing must show, and that it is drawn by construction.
 
 The layout places every piece once, so the properties are checked on
 its blocks: no two pieces share a cell and every piece lies inside its
@@ -10,15 +9,17 @@ dropped children hang on has a glyph on every row from the band down to
 its last branch. And every open node's goal list and every label line
 of an edge that is not pruned is drawn whole on one line.
 
-Both are checked on generated view trees with fan-outs up to 12 (so
-children are dropped onto the trunk), multi-line labels, goal texts
-with spaces and every status, at widths 40 to 140; and on every bundled
-fixture and every program in tests/golden/db, at widths 40, 60 and
-120. Goals and labels are generated as the printer writes them: spaces
-inside, never whitespace at either end. These draw the SearchTree
-itself, as the command line does; a tree and its to_view() copy are
-written to the same bytes by both writers.
+Both are checked on generated trees with fan-outs up to 12 (so
+children are dropped onto the trunk), multi-line labels, names with
+blanks, quotes and the characters JSON escapes, and every status, at
+widths 40 to 140; on trees built from generated programs with
+variables, truncated ones too, at widths 40 and 120, where the
+canonical document must also be json.dumps of the plain one; and on
+every bundled fixture and every program in tests/golden/db, at widths
+40, 60 and 120. All of them draw the SearchTree itself, as the command
+line does.
 """
+import json
 from pathlib import Path
 
 import pytest
@@ -29,57 +30,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sldtree import render
-from sldtree.engine import Limits, build_tree
+from sldtree.engine import (EdgeLabel, Limits, NodeStatus, SearchNode,
+                            SearchTree, build_tree)
+from sldtree.errors import CyclicTermError
 from sldtree.fixtures import FIXTURES, fixture_names, load_fixture
 from sldtree.reader import parse_program, parse_query
 from sldtree.render import RenderOptions, render_text
-from sldtree.serialize import (ViewEdge, ViewNode, ViewTree, serialize,
-                               to_view)
+from sldtree.serialize import serialize
+from sldtree.terms import Atom, Variable
 from test_golden import DB, DRAWN, SCALED
-from test_render import _open, build, shown_strings
+from test_properties import (TRICKY, reference_doc, search_trees,
+                             var_programs, var_queries)
+from test_render import _open, _tree, build, shown_strings
 
-STATUSES = ("open", "success", "fail", "pruned", "truncated")
-
-GOALS = ("p(X)", "q", "V < 10", "\\+ (p(a),q)", "X = 'a b'", "!", "fail",
-         "append([a,b],Y,[a,b,c,d])", "long_predicate_name(Alpha,Beta,Gamma)")
-TERMS = ("a", "[]", "[1,2,3]", "'a b'", "f(g(Y'),h)", "succ(succ(0))",
-         "[H'''''|T''']")
-NAMES = ("X", "Y", "Who", "H'''''", "T''")
-
-
-def _printed(pool: tuple[str, ...]) -> st.SearchStrategy[str]:
-    words = st.text(alphabet="abXY_(),[]<=+\\' ", min_size=1, max_size=16)
-    return st.one_of(st.sampled_from(pool),
-                     words.map(str.strip).filter(bool))
+# a goal list or a label line is drawn on one line: the names are made
+# of the characters of test_properties' names that break no line
+names = st.text(alphabet="".join(TRICKY.splitlines()) + "'a", max_size=16)
+trees = search_trees(names, 40, 12)
 
 
-goals = st.lists(_printed(GOALS), max_size=4).map(tuple)
-labels = st.lists(st.tuples(st.sampled_from(NAMES), _printed(TERMS)),
-                  max_size=4).map(tuple)
-leaves = st.builds(ViewNode, goals, st.sampled_from(STATUSES))
-
-
-def _inner(children):
-    edges = st.lists(st.builds(ViewEdge, labels, children), min_size=1,
-                     max_size=12)
-    return st.builds(ViewNode, goals, st.sampled_from(STATUSES),
-                     edges.map(tuple))
-
-
-views = st.builds(ViewTree, st.recursive(leaves, _inner, max_leaves=40),
-                  st.booleans())
-
-
-def _flat(n: int) -> ViewTree:
-    leaf = ViewNode(("long_predicate_name(Alpha,Beta,Gamma)",), "fail")
-    edges = tuple(ViewEdge((("X", f"k{i}"), ("Y", "'a b'")), leaf)
-                  for i in range(n))
-    return ViewTree(ViewNode(("p(X,Y)", "V < 10"), "open", edges), False)
+def _flat(n: int) -> SearchTree:
+    goals = parse_query("long_predicate_name(Alpha,Beta,Gamma)")
+    x, y = Variable("X"), Variable("Y")
+    kids = [SearchNode(goals, NodeStatus.FAIL,
+                       EdgeLabel(((x, Atom(f"k{i}")), (y, Atom("a b")))))
+            for i in range(n)]
+    return _tree(SearchNode(parse_query("p(X,Y), V < 10"), children=kids))
 
 
 # a dropped child's run once crossed a kept child's box here
-_CROSSED = ViewTree(_open((), [_open(), _open(["p(X)"] * 2),
-                               _open((), [_open()] * 4), _open()]), False)
+_CROSSED = _tree(_open("", [_open(), _open("p(X), p(X)"),
+                            _open("", [_open()] * 4), _open()]))
 
 
 def _program(db: str):
@@ -163,12 +144,12 @@ def _check_layout(tree, width: int) -> None:
 
 
 @settings(deadline=None)
-@given(views, st.integers(40, 140))
+@given(trees, st.integers(40, 140))
 @example(_flat(12), 40)
 @example(_CROSSED, 40)
-def test_views_draw_by_construction(view, width):
-    _check_layout(view, width)
-    assert _missing(view, width) == []
+def test_generated_trees_draw_by_construction(tree, width):
+    _check_layout(tree, width)
+    assert _missing(tree, width) == []
 
 
 def test_the_cases_cover_every_golden_program():
@@ -176,22 +157,11 @@ def test_the_cases_cover_every_golden_program():
     assert {p.name for p in DB.glob("*.pl")} <= used
 
 
-@pytest.mark.parametrize("db, query, limits", [c[1:] for c in _cases()],
-                         ids=[c[0] for c in _cases()])
-def test_a_tree_and_its_view_write_the_same_text(db, query, limits):
-    tree = build_tree(_program(db), parse_query(query), limits)
-    view = to_view(tree)
-    assert serialize(tree) == serialize(view)
-    for width in (40, 60, 120):
-        options = RenderOptions(max_width=width)
-        assert render_text(tree, options) == render_text(view, options), width
-
-
 def _missing(tree, width: int) -> list[str]:
-    """The strings of shown_strings(to_view(tree)) that no line of the
-    drawing of `tree` at `width` holds."""
+    """The strings of shown_strings(tree) that no line of the drawing of
+    `tree` at `width` holds."""
     lines = render_text(tree, RenderOptions(max_width=width)).splitlines()
-    return [s for s in shown_strings(to_view(tree))
+    return [s for s in shown_strings(tree)
             if not any(s in line for line in lines)]
 
 
@@ -211,15 +181,29 @@ def test_programs_draw_every_goal_list_and_label(db, query, limits):
         assert _missing(tree, width) == [], width
 
 
-@pytest.mark.parametrize("view", [_CROSSED, _flat(12)],
+@pytest.mark.parametrize("tree", [_CROSSED, _flat(12)],
                          ids=("crossed", "flat-12"))
-def test_runs_and_forced_labels_draw_every_string(view):
+def test_runs_and_forced_labels_draw_every_string(tree):
     # a vertical run once wrote over [p(X),p(X)] in the first; the second
     # once forced its labels far from their runs, and before that lost them
-    assert _missing(view, 40) == []
+    assert _missing(tree, 40) == []
 
 
 def test_a_run_that_does_not_move_is_drawn_straight():
     # the middle run was once drawn / on both band rows, one column left
     # of the parent's anchor, though it moves only on the first
     _check_layout(build("p(a). p(b). p(c) :- fail.", "p(X), fail"), 40)
+
+
+@settings(deadline=None)
+@given(var_programs, var_queries)
+def test_programs_with_variables_write_and_draw_every_node(program, query):
+    try:
+        tree = build_tree(program, query, Limits(max_depth=6, max_nodes=200))
+    except CyclicTermError:
+        return
+    want = json.dumps(reference_doc(tree), indent=2, ensure_ascii=False)
+    assert serialize(tree) == want + "\n"
+    for width in (40, 120):
+        _check_layout(tree, width)
+        assert _missing(tree, width) == [], width

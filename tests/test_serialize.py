@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -61,10 +62,7 @@ def test_truncated_flag_is_carried():
 @pytest.mark.parametrize("fixture", [f.name for f in FIXTURES])
 def test_round_trip_is_identity(fixture):
     tree = fixture_tree(fixture)
-    text = serialize(tree)
-    view = deserialize(text)
-    assert view == to_view(tree)
-    assert serialize(view) == text
+    assert deserialize(serialize(tree)) == to_view(tree)
 
 
 @pytest.mark.parametrize("fixture", [f.name for f in FIXTURES])
@@ -83,9 +81,7 @@ def test_a_500_deep_chain_round_trips_with_the_recursion_limit_unchanged():
                       limits=Limits(max_depth=500))
     doc = serialize(tree)
     limit = sys.getrecursionlimit()
-    view = deserialize(doc)
-    assert view == to_view(tree)
-    assert serialize(view) == doc
+    assert deserialize(doc) == to_view(tree)
     assert sys.getrecursionlimit() == limit
 
 
@@ -119,12 +115,13 @@ def test_the_reader_lends_json_a_fixed_limit_and_never_lowers_the_callers(
         return real_loads(text)
 
     monkeypatch.setattr(json, "loads", loads)
-    doc = serialize(fixture_tree("animals"))
+    tree = fixture_tree("animals")
+    doc = serialize(tree)
     old = sys.getrecursionlimit()
     try:
         for limit in (1000, 4 * _JSON_NESTING):
             sys.setrecursionlimit(limit)
-            assert serialize(deserialize(doc)) == doc
+            assert deserialize(doc) == to_view(tree)
             assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(old)
@@ -144,6 +141,39 @@ def test_the_writers_make_no_view_of_a_search_tree(monkeypatch):
         cfg = RunConfig(db=str(DB / "perm.pl"), query="perm([a,b,c],P)",
                         format=fmt)
         assert run(cfg, io.StringIO(), io.StringIO()) == EXIT_OK, fmt
+
+
+def view_names(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each place `source` names a view class."""
+    views = {"ViewTree", "ViewNode", "ViewEdge"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Constant):  # a forward reference
+            name = node.value
+        else:
+            continue
+        if name in views:
+            found.append((name, node.lineno))
+    return found
+
+
+def test_no_module_but_the_reader_names_the_views():
+    # the writers read one node shape, the tree the build made; views
+    # are what deserialize returns and to_view makes, for comparison
+    assert view_names("from .serialize import Parts, ViewTree\n"
+                      "def f(t: 'ViewNode', u: serialize.ViewEdge): ...\n"
+                      ) == [("ViewTree", 1), ("ViewNode", 2), ("ViewEdge", 2)]
+    modules = sorted(Path(sldtree.__file__).parent.glob("*.py"))
+    found = {m.name: view_names(m.read_text(encoding="utf-8"))
+             for m in modules if m.name != "serialize.py"}
+    assert len(found) == len(modules) - 1
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def test_non_ascii_atoms_stay_readable():
@@ -264,7 +294,7 @@ def chain_text(depth):
 
 
 def test_a_chain_nested_past_the_limit_is_an_error_and_restores_it():
-    assert serialize(deserialize(chain_text(3))) == serialize(
+    assert deserialize(chain_text(3)) == to_view(
         build_tree(parse_program("p :- p."), parse_query("p"),
                    limits=Limits(max_depth=3)))
     # a tree nests three levels a step
