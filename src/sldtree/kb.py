@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .terms import (Atom, Compound, Term, Value, Variable, indicator,
-                    is_callable, variables_of, write)
+from .terms import (Compound, Term, Value, Variable, indicator, is_callable,
+                    variables_of, write)
 
 COMPARE_OPS = ("<", ">", "=<", ">=")
 
@@ -165,17 +165,17 @@ class Program:
 
 
 def arg_keys(t: Term) -> tuple:
-    """One key per argument of the callable t: an atom's name, an
-    integer's value, a compound's (functor, arity), None for a variable.
+    """One key per argument of the callable t: an atom or an integer is
+    its own key (there is one object per name and per value), a
+    compound's is its (functor, arity), a variable's None.
 
     Two arguments whose keys are both not None and differ do not unify.
     """
     if not isinstance(t, Compound):
         return ()
     return tuple([None if type(a) is Variable
-                  else a.name if type(a) is Atom
                   else (a.functor, len(a.args)) if type(a) is Compound
-                  else a.value
+                  else a
                   for a in t.args])
 
 

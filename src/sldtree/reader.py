@@ -8,8 +8,8 @@ negation. '%' starts a line comment, clauses end with '.'.
 A text is read in two steps. One `findall` of `_TOKEN` lists the token
 texts, with layout and comments skipped inside the pattern and '' last,
 for the end of the text. Each distinct token text is then classified
-once, by its first character, into a table of what it reads as: one
-`Atom` or `Integer` per text, or a variable's name. A text that starts
+once, by its first character, into a table of what it reads as: the
+`Atom` or `Integer` it names, or a variable's name. A text that starts
 no token hands over to `_tokenize`, which raises the error of the first
 such token with its place.
 
@@ -60,10 +60,13 @@ _Token = tuple[str, str, int]  # kind, value, offset into the text
 # backtracks into a comment. A text without a token gets '' twice: the
 # second, empty match follows the one that took its layout. The group's
 # alternatives are tried in order, so the digits of 1a are an integer;
-# \d is exactly the digits int() reads. The closing quote of a quoted
-# atom may not start a '' pair, so backtracking cannot end an
-# unterminated atom inside one. '.' takes any character that starts no
-# token.
+# \d is exactly the digits int() reads. A quoted atom holds no control
+# character (U+0000-U+001F, U+007F-U+009F) and no line or paragraph
+# separator (U+2028, U+2029), any of which, written raw, would break a
+# line of output: a quote before one is an unterminated atom. The
+# closing quote of a quoted atom may not start a '' pair, so
+# backtracking cannot end an unterminated atom inside one. '.' takes any
+# character that starts no token.
 _LAYOUT = r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*"
 _TOKEN = re.compile(_LAYOUT + r"""
     ( [()\[\],|;!.]
@@ -71,7 +74,8 @@ _TOKEN = re.compile(_LAYOUT + r"""
     | \w+
     | :-|=<|>=|\\\+|[<>]
     | -\d+
-    | '[^'\n]*(?:''[^'\n]*)*'(?!')
+    | '[^'\x00-\x1f\x7f-\x9f\u2028\u2029]*
+       (?:''[^'\x00-\x1f\x7f-\x9f\u2028\u2029]*)*'(?!')
     | .
     | \Z )
 """ + _LAYOUT, re.VERBOSE | re.DOTALL)
@@ -138,8 +142,9 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _TOKEN.findall(text)
-        # what each token text that starts a term reads as: an Atom or an
-        # Integer, shared by its every occurrence, or a variable's name
+        # what each token text that starts a term reads as: the Atom or
+        # Integer it names, which terms makes once per name or value, or
+        # a variable's name; each distinct text is classified once
         self.table: dict[str, Term | str] = {}
         texts = set(self.toks)
         texts.discard("")

@@ -4,17 +4,21 @@ Terms are immutable. A Variable's identity is the object, never its
 display name: each Variable(name) is a new variable, so two variables
 with the same name in different clauses are different, and renaming a
 clause makes new variables even when the printed name stays the same.
-Atoms, integers and compounds are equal, and hash equal, when their
-structure is.
+There is one Atom per name and one Integer per value: the constructor
+returns the object made for it first, so a leaf term, like a variable,
+is equal only to itself. Atom("1") and Integer(1) are two objects. The
+two tables keep every distinct name and integer that the process reads,
+as the reader's own table kept one object per distinct token text of a
+parse. Compounds are equal, and hash equal, when their structure is.
 
 Every resolution step makes terms, so the four classes are plain ones
-with __slots__ and their own __init__: no dataclass machinery runs per
-object. Each __init__ writes its fields through the slot descriptors,
-and assigning to a field afterwards raises AttributeError. A compound,
-like a goal or a view, is a Value: its ==, hash() and repr() read it
-through walk(), one explicit-stack loop, so a value nested any depth
-compares, hashes and prints as a flat one does. write() and
-variables_of() run at every step, and keep loops of their own.
+with __slots__: no dataclass machinery runs per object. Each __new__ or
+__init__ writes the fields through the slot descriptors, and assigning
+to a field afterwards raises AttributeError. A compound, like a goal or
+a view, is a Value: its ==, hash() and repr() read it through walk(),
+one explicit-stack loop, so a value nested any depth compares, hashes
+and prints as a flat one does. write() and variables_of() run at every
+step, and keep loops of their own.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from typing import Union
 
 class Frozen:
     """Base of the immutable slotted classes: no field is set, or
-    deleted, once __init__ has written it through its slot descriptor."""
+    deleted, once it is written through its slot descriptor."""
     __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -57,52 +61,37 @@ class Variable(Frozen):
 
 
 class Atom(Frozen):
+    """An atom; Atom(name) is the one atom with that name."""
     __slots__ = ("name",)
     ground = True
 
-    def __init__(self, name: str) -> None:
-        _set_atom_name(self, name)
+    def __new__(cls, name: str) -> Atom:
+        atom = _atoms.get(name)
+        if atom is None:  # setdefault: two threads get the same one
+            atom = super().__new__(cls)
+            _set_atom_name(atom, name)
+            atom = _atoms.setdefault(name, atom)
+        return atom
 
     def __repr__(self) -> str:
         return f"Atom({self.name!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is Atom:
-            return self.name == other.name
-        return NotImplemented
-
-    # unify tests atoms with !=, which would otherwise go through __eq__
-    def __ne__(self, other: object) -> bool:
-        if type(other) is Atom:
-            return self.name != other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 class Integer(Frozen):
+    """An integer; Integer(value) is the one integer with that value."""
     __slots__ = ("value",)
     ground = True
 
-    def __init__(self, value: int) -> None:
-        _set_integer_value(self, value)
+    def __new__(cls, value: int) -> Integer:
+        integer = _integers.get(value)
+        if integer is None:
+            integer = super().__new__(cls)
+            _set_integer_value(integer, value)
+            integer = _integers.setdefault(value, integer)
+        return integer
 
     def __repr__(self) -> str:
         return f"Integer({self.value})"
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is Integer:
-            return self.value == other.value
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if type(other) is Integer:
-            return self.value != other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
 
 
 class Value(Frozen):
@@ -188,6 +177,9 @@ def _text(x):
     out.append(tail)
     return out
 
+
+_atoms: dict[str, Atom] = {}
+_integers: dict[int, Integer] = {}
 
 _set_variable_name = Variable.name.__set__
 _set_atom_name = Atom.name.__set__
@@ -306,7 +298,7 @@ def write(root, pieces=None) -> str:
             if x.functor == CONS and len(items) == 2:
                 items, tail = list_parts(x)
                 out.append("[")
-                if tail == EMPTY_LIST:
+                if tail is EMPTY_LIST:
                     stack.append("]")
                 else:
                     stack += "]", tail, "|"

@@ -157,7 +157,7 @@ def unify(t1: Term, t2: Term,
             if (id(a), id(b)) not in decomposed:
                 decomposed.add((id(a), id(b)))
                 pairs.extend(zip(a.args, b.args))
-        elif a != b:
+        else:
             return None
     return bindings
 

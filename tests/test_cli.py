@@ -348,6 +348,15 @@ def test_a_db_file_that_starts_with_a_byte_order_mark_is_read(tmp_path):
                             format="answers-only")) == (EXIT_OK, "X = a\n", "")
 
 
+def test_a_form_feed_in_a_quoted_atom_is_an_error(tmp_path, capsys):
+    db = tmp_path / "ff.pl"
+    db.write_text("p('a\fb').\n", encoding="utf-8")
+    code = main(["--db", str(db), "--query", "p(X)"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err == "error: line 1, column 3: unterminated quoted atom\n"
+
+
 def test_a_digit_that_int_rejects_is_an_error_not_a_crash(tmp_path, capsys):
     db = tmp_path / "sup.pl"
     db.write_text("p(\u00b2).\n", encoding="utf-8")

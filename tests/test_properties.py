@@ -28,7 +28,9 @@ each clause tried the builder's path set must hold exactly the names
 shown from the root down to the node it expands, and the names it
 hands each node it visits must be those the node shows in its goals and
 on its edge label, while the engine finds the variables of goals once,
-for the query. The engine's goal rewrite must agree with its earlier
+for the query, and the CLI must exit 3 exactly when the tree is
+truncated, naming each limit that tripped, and otherwise 0 or 1 as the
+tree has answers or none. The engine's goal rewrite must agree with its earlier
 recursive form, goal for goal and name for name, and keep the same
 calls and comparisons. On propositional programs with cut, `;` and
 `\\+`, the solutions of the built tree must be as many as a generator
@@ -55,7 +57,9 @@ from hypothesis import strategies as st
 
 import bottomup_oracle as oracle
 import sldtree.engine as engine
-from sldtree.cli import EXIT_NO_ANSWERS, EXIT_OK, RunConfig, run
+import sldtree.cli as cli
+from sldtree.cli import (EXIT_NO_ANSWERS, EXIT_OK, EXIT_TRUNCATED, RunConfig,
+                         run)
 from sldtree.engine import (EdgeLabel, EngineOptions, Limits, NodeStatus,
                             SearchNode, SearchTree, build_tree, solutions)
 from sldtree.errors import CyclicTermError
@@ -570,11 +574,19 @@ class _Token:
     pos: SourcePosition
 
 
+# what a quoted atom may not hold: the control characters and the line
+# and paragraph separators
+_UNQUOTABLE = frozenset([*map(chr, range(0x20)), *map(chr, range(0x7f, 0xa0)),
+                         "\u2028", "\u2029"])
+
+
 def char_tokenize(text: str) -> list[_Token]:
     """The reader's earlier character-by-character tokenizer, kept as the
     oracle. One line is added: the parser converted each integer token
     with int(), so the oracle does too, and raises ValueError where int()
-    rejects the digits that isdigit() accepted."""
+    rejects the digits that isdigit() accepted. One line is changed: a
+    quoted atom ends unterminated at any character of _UNQUOTABLE, as the
+    reader's does, where it ended so only at a newline."""
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -627,7 +639,7 @@ def char_tokenize(text: str) -> list[_Token]:
             j = i + 1
             buf: list[str] = []
             while True:
-                if j >= n or text[j] == "\n":
+                if j >= n or text[j] in _UNQUOTABLE:  # the changed line
                     raise ParseError("unterminated quoted atom", start)
                 if text[j] == "'":
                     if j + 1 < n and text[j + 1] == "'":  # '' is a literal quote
@@ -1070,6 +1082,36 @@ def test_the_names_a_visited_node_is_handed_are_those_it_shows(
             assert shown <= path
         else:
             assert names == shown
+
+
+# the depth limit and the node limit each trip on some of these programs,
+# alone or together
+TRUNCATING = Limits(max_depth=5, max_nodes=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(var_programs, var_queries)
+def test_the_cli_exits_3_exactly_when_the_tree_is_truncated(program, query):
+    try:
+        tree = build_tree(program, query, TRUNCATING)
+    except CyclicTermError:
+        return
+    err = io.StringIO()
+    # the generated program and query, as the reader would give them
+    with mock.patch.object(cli, "parse_program", lambda text: program), \
+            mock.patch.object(cli, "parse_query", lambda text: query):
+        code = run(RunConfig(db="romance", query="q", format="answers-only",
+                             limits=TRUNCATING), io.StringIO(), err)
+    if not tree.truncated:
+        assert code == (EXIT_OK if tree.answers else EXIT_NO_ANSWERS)
+        assert err.getvalue() == ""
+        return
+    assert code == EXIT_TRUNCATED
+    assert err.getvalue().startswith("warning: tree truncated by the ")
+    assert err.getvalue().count("\n") == 1
+    for name, text in (("max_depth", "the depth limit (5)"),
+                       ("max_nodes", "the node limit (12)")):
+        assert (text in err.getvalue()) == (name in tree.tripped)
 
 
 # -- the goal rewrite against its recursive form -----------------------------

@@ -171,6 +171,19 @@ def test_unterminated_quote():
     assert info.value.message == "unterminated quoted atom"
 
 
+@pytest.mark.parametrize("char", [
+    "\t", "\f", "\v", "\x1b", "\x7f", "\x85", "\u2028", "\u2029",
+], ids=("tab", "form-feed", "vertical-tab", "escape", "delete",
+        "next-line", "line-separator", "paragraph-separator"))
+def test_a_control_or_line_separator_character_ends_a_quoted_atom(char):
+    # written raw, any of them would break a line of the drawing
+    with pytest.raises(ParseError) as info:
+        parse_program(f"p(ok).\np('a{char}b').")
+    assert info.value.message == "unterminated quoted atom"
+    assert info.value.position == SourcePosition(2, 3)  # the opening quote
+    assert parse_term("'a b'") is Atom("a b")
+
+
 def test_print_parse_round_trip():
     texts = [
         "f(a,g(X,Y),[1,2|Z])",

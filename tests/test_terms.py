@@ -1,14 +1,16 @@
 import sys
+import threading
 
 import pytest
 
 from sldtree.kb import (Call, Compare, Cut, Disjunction, Negation,
                         goal_variables)
-from sldtree.reader import parse_query, parse_term
+from sldtree.reader import parse_program, parse_query, parse_term
 from sldtree.serialize import ViewNode
 from sldtree.terms import (Atom, Compound, Integer, Variable, atom_text,
                            indicator, is_callable, list_parts, list_term,
                            term_text, variables_of)
+from sldtree.unify import unify
 
 
 P_A = Call(parse_term("p(a)"))
@@ -31,13 +33,14 @@ def test_equal_terms_and_goals_are_equal_and_hash_equal():
     x = Variable("X")  # one variable, in both copies
 
     def make():
-        return [Atom("a"), Integer(7),
-                Compound("f", (Atom("a"), Compound("g", (x,)))),
+        return [Compound("f", (Atom("a"), Compound("g", (x,)))),
                 Call(Compound("p", (Integer(1), x))), Call(Atom("q"))]
     for a, b in zip(make(), make()):
         assert a is not b
         assert a == b and not a != b
         assert hash(a) == hash(b)
+    # a leaf is equal only to itself: its two copies are one object
+    assert Atom("a") is Atom("a") and Integer(7) is Integer(7)
     fa = Compound("f", (Atom("a"),))
     for a, b in [(Atom("a"), Atom("b")), (Integer(1), Integer(2)),
                  (Atom("1"), Integer(1)), (fa, Atom("f")),
@@ -46,6 +49,47 @@ def test_equal_terms_and_goals_are_equal_and_hash_equal():
                  (Compound("f", (x,)), Compound("f", (Variable("X"),))),
                  (Call(Atom("p")), Call(Atom("q")))]:
         assert a != b and not a == b
+
+
+def test_each_atom_name_and_integer_value_is_one_object():
+    assert Atom("a") is not Atom("b") and Integer(-7) is not Integer(7)
+    assert Atom("1") is not Integer(1)
+    assert unify(Atom("1"), Integer(1)) is None
+    assert unify(Atom("1"), Atom("1")) == {}
+    # the program's atoms are the query's
+    (clause,) = parse_program("p(a).").clauses
+    (goal,) = parse_query("p(a)")
+    assert clause.head.args[0] is goal.term.args[0]
+    for leaf, field in ((Atom("a"), "name"), (Integer(7), "value")):
+        with pytest.raises(AttributeError):
+            setattr(leaf, field, "b")
+    assert Atom("a").name == "a" and Integer(7).value == 7
+
+
+def test_threads_that_make_the_same_leaves_get_the_same_objects():
+    n = 2000
+    made = [[] for _ in range(8)]
+
+    def make(out):
+        for k in range(n):  # each key a new str and a new int object
+            out.append((Atom(f"thread-{k}"), Integer(10**30 + k)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=make, args=(out,)) for out in made]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = made[0]
+    assert len(first) == n
+    for out in made[1:]:
+        assert all(a is b and i is j for (a, i), (b, j) in zip(first, out))
+        assert len(out) == len(first)
 
 
 def test_ground_marks_compounds_without_variables():
