@@ -6,21 +6,30 @@ away by '!', and negation probes all stay in the tree; that is the
 point of the exercise.
 
 Bindings are plain dicts in triangular form, as unify() returns them.
-A clause child costs one walk of its terms: _rewrite() resolves its
-goals through the step's unifier and scopes their unowned cuts, its edge
-label is resolved through the same unifier and memo, and that walk
-collects the names the child shows, which go on the path when it is
-visited. The root shows the query variables' names, found once with
-them. The call's shown variables are found once per node, not once per
-clause.
+A clause child is built from one map: the call is unified with the
+clause's head as written, and then only the clause variables that the
+unifier leaves unbound get fresh variables, in that map. It costs one
+walk of its terms: _rewrite() resolves its goals through the map and
+scopes their unowned cuts, its edge label is resolved through the same
+map and memo, and that walk collects the names the child shows, which
+go on the path when it is visited. The root shows the query variables'
+names, found once with them. The call's shown variables are found once
+per node, not once per clause.
 
 Answers are resolved at the success leaves, in the build's own walk.
-The bindings a clause child's step made, renamed apart from the clause,
-stay in its parent's frame only while the child's subtree is built,
-and the builder keeps those of the steps on the path in one dict. At a
-success leaf it resolves the query variables through that dict, and a
-cyclic value raises there. No node carries the answer so far, so the
-build is linear in the tree.
+A clause child's step binds each bound variable of the call to its
+value resolved through the map, so no variable of a parsed clause
+enters it. The step stays in its parent's frame only while the child's
+subtree is built, and the builder keeps those of the steps on the path
+in one dict. At a success leaf it resolves the query variables through
+that dict. No node carries the answer so far, so the build is linear in
+the tree.
+
+There is no occurs check, so a unifier can hold a cyclic value. A child
+whose goals, label or step meet one is built again with the clause
+renamed in full first and its step kept triangular: a cyclic value in
+its goals or label raises CyclicTermError there, and one that only its
+step holds raises only at a success leaf that needs it.
 
 A cut names the depth, on the DFS path, of the node whose choice point
 it commits: a call at depth d stamps d on the cuts of its clause bodies,
@@ -31,8 +40,9 @@ own target prunes nothing.
 
 A call tries only the clauses that kb.Program.candidates gives; a
 clause it leaves out clashes with the call and becomes a failure leaf
-without renaming or unification. Every failure leaf is one shared node,
-which the build never changes.
+without unification, and a head that does not unify becomes one without
+renaming. Every failure leaf is one shared node, which the build never
+changes.
 
 The build makes no reference cycles, so the cyclic garbage collector is
 paused while it runs.
@@ -46,14 +56,16 @@ from enum import Enum
 from itertools import count, islice
 from string import ascii_uppercase
 
-from .errors import InstantiationError, UnknownPredicateError
+from .errors import (CyclicTermError, InstantiationError,
+                     UnknownPredicateError)
 from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import (Compound, Integer, Term, Variable, indicator, term_text,
                     variables_of)
 from .unify import RENAME_STYLES, rename_clause, resolve, unify
 
-# a step's triangular bindings, as (variable, value) pairs
+# a step's bindings, as (variable, value) pairs: the call's variables
+# and their resolved values (triangular where a value is cyclic)
 Step = tuple[tuple[Variable, Term], ...]
 
 
@@ -412,13 +424,14 @@ class _Builder:
             else:
                 # _rewrite resolved the call, as candidates() needs; a
                 # clause it leaves out clashes, and stays a failure leaf
-                shown = [v for v in variables_of(g.term)
-                         if not v.is_anonymous]
+                found = variables_of(g.term)
+                shown = [v for v in found if not v.is_anonymous]
+                hidden = [v for v in found if v.is_anonymous]
                 children = [_FAIL_LEAF] * len(clauses)
                 kids = [plain] * len(clauses)
                 for j in self.program.candidates(key, g.term):
                     children[j], kids[j] = self._clause_child(
-                        g, shown, rest, clauses[j], depth, floor)
+                        g, shown, hidden, rest, clauses[j], depth, floor)
                 return children, kids
         elif isinstance(g, TrueGoal):
             children = [SearchNode(rest)]
@@ -440,44 +453,76 @@ class _Builder:
             raise TypeError(f"cannot expand goal {g!r}")
         return children, [plain] * len(children)
 
-    def _clause_child(self, call: Call, shown: list[Variable], rest: GoalSeq,
-                      clause, depth: int, floor: int
-                      ) -> tuple[SearchNode, Kid]:
+    def _clause_child(self, call: Call, shown: list[Variable],
+                      hidden: list[Variable], rest: GoalSeq, clause,
+                      depth: int, floor: int) -> tuple[SearchNode, Kid]:
         """The child for `clause`, of a node whose floor is `floor`, and
-        its Kid: the triangular bindings its step made, renamed apart from
-        the clause, the names the child shows, and its floor.
+        its Kid: the bindings its step made, the names the child shows,
+        and its floor.
 
-        `shown` are the call's named variables. One map, the unifier, and
-        one walk: the goals and the edge label are resolved through it
-        with one memo, and that walk collects the names of the variables
-        it puts into them. A step's binding whose value is ground is kept
-        as it is; the others are resolved through the renaming."""
-        if clause.variables:
-            fresh, floor = rename_clause(clause, self.path, floor,
-                                         self.options.rename)
-        else:  # what rename_clause gives a clause without variables
-            fresh = {}
-        sigma = unify(call.term, clause.head, fresh)
+        `shown` are the call's named variables and `hidden` its anonymous
+        ones. One map: the call is unified with the head as written, and
+        only the clause variables the unifier leaves unbound get fresh
+        variables, in it. One walk: the goals and the edge label are
+        resolved through it with one memo, collecting the names of the
+        variables they put into them. The step binds each bound variable
+        of the call to its resolved value, the label's where it has one.
+
+        A value that is cyclic (there is no occurs check) is left to
+        _cyclic_child."""
+        sigma = unify(call.term, clause.head)
         if sigma is None:
             return _FAIL_LEAF, ((), None, floor)
+        first = floor
+        if clause.variables:
+            floor = rename_clause(clause, self.path, floor,
+                                  self.options.rename, sigma)
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
         names: set[str] = set()
+        try:
+            goals = _rewrite(clause.body + rest, depth, sigma, memo, names)
+            label = tuple([(v, resolve(v, sigma, memo, names))
+                           for v in shown if v in sigma])
+            # last: a walk without `names` leaves memo entries whose
+            # names a later walk that collects them would miss
+            step = label + tuple([(v, resolve(v, sigma, memo))
+                                  for v in hidden if v in sigma])
+        except CyclicTermError:
+            return self._cyclic_child(call, shown, rest, clause, depth, first)
+        names.update([v.name for v, _ in label])
+        names.discard("_")
+        return SearchNode(goals, label=EdgeLabel(label)), (step, names, floor)
+
+    def _cyclic_child(self, call: Call, shown: list[Variable],
+                      rest: GoalSeq, clause, depth: int, floor: int
+                      ) -> tuple[SearchNode, Kid]:
+        """_clause_child's result where a value of the child is cyclic.
+
+        The clause is renamed in full first, as unify's starting
+        bindings, so every clause variable the unifier binds has a fresh
+        stand-in, and the step keeps the bindings triangular, renamed
+        apart from the clause. A cyclic value in the goals or the label
+        raises CyclicTermError here, naming the renamed variable. One
+        that only the call's anonymous variables reach raises only at a
+        success leaf that needs it, so a branch that fails has no answer
+        and no error."""
+        fresh: dict[Variable, Term] = {}
+        floor = rename_clause(clause, self.path, floor, self.options.rename,
+                              fresh)
+        sigma = unify(call.term, clause.head, fresh)
+        memo: dict[Variable, Term] = {}
+        names: set[str] = set()
         goals = _rewrite(clause.body + rest, depth, sigma, memo, names)
-        # the label raises on a cyclic value of a shown variable; one
-        # that only anonymous variables reach raises at a success leaf
-        # that needs it, where the step's bindings are resolved
         label = tuple([(v, resolve(v, sigma, memo, names))
                        for v in shown if v in sigma])
         names.update([v.name for v, _ in label])
         names.discard("_")
         # unify() copies `fresh` first, so the step's bindings follow it
         renamed: dict[Variable, Term] = {}
-        bindings = tuple([(v, t if t.ground else resolve(t, fresh, renamed))
-                          for v, t in islice(sigma.items(), len(fresh),
-                                             None)])
-        return (SearchNode(goals, label=EdgeLabel(label)),
-                (bindings, names, floor))
+        step = tuple([(v, t if t.ground else resolve(t, fresh, renamed))
+                      for v, t in islice(sigma.items(), len(fresh), None)])
+        return SearchNode(goals, label=EdgeLabel(label)), (step, names, floor)
 
 
 def build_tree(program: Program, query: GoalSeq,

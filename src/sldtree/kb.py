@@ -103,6 +103,12 @@ class Clause:
         return tuple(variables_of(self, _goal_pieces))
 
     @cached_property
+    def names(self) -> frozenset[str]:
+        """The display names of the named variables, which choose the
+        generation a renaming moves them to (see unify.rename_clause)."""
+        return frozenset(v.name for v in self.variables if not v.is_anonymous)
+
+    @cached_property
     def head_keys(self) -> tuple:
         """arg_keys of the head."""
         return arg_keys(self.head)

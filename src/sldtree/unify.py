@@ -9,7 +9,7 @@ terminates on cyclic terms too.
 """
 from __future__ import annotations
 
-from collections.abc import Container, Mapping
+from collections.abc import Mapping, Set as AbstractSet
 from operator import is_not
 
 from .errors import CyclicTermError
@@ -116,9 +116,11 @@ def unify(t1: Term, t2: Term,
     When both sides are variables the left one is bound, so callers
     passing (goal, clause head) get goal-variable-first bindings.
     `bindings`, if given, are the triangular bindings to start from and
-    are not changed; a clause's renaming (see rename_clause) is passed
-    this way, so the head is unified as if it were renamed, and the
-    result holds them too.
+    are not changed, and the result holds them too. The engine unifies
+    a call with a clause's head as written, from no bindings, and
+    renames afterwards only what stays unbound (see rename_clause); it
+    passes a clause's full renaming this way only to rebuild a child
+    whose values are cyclic.
 
     Pairs are unified breadth first, in one loop over a list that grows
     by the argument pairs of each compound pair decomposed. The argument
@@ -170,22 +172,28 @@ def derive(base: str, k: int, style: str) -> str:
     return base + "'" * k if style == "prime" else base + str(k)
 
 
-def rename_clause(c: Clause, avoid: Container[str], first: int,
-                  style: str) -> tuple[dict[Variable, Variable], int]:
-    """Fresh variables for c, and the next floor.
+def rename_clause(c: Clause, avoid: AbstractSet[str], first: int,
+                  style: str, bindings: dict[Variable, Term]) -> int:
+    """Bind each variable of c that `bindings` leaves unbound to a fresh
+    variable, in place, and return the next floor.
 
-    Maps every variable of c to a new one, which unify() takes as its
-    starting bindings. Display names are kept as written unless one of
-    them is in `avoid`; then all of them move together to the first
-    generation k >= first whose names `avoid` does not hold, and the
-    next floor is k + 1. Otherwise it stays `first`. Anonymous variables
-    stay '_'. A clause with no variables gets {}.
+    The generation is chosen from all of c's named variables, bound or
+    not. Display names are kept as written unless one of them is in
+    `avoid`; then all of them move together to the first generation
+    k >= first whose names `avoid` does not hold, and the next floor is
+    k + 1. Otherwise it stays `first`. Anonymous variables stay '_'.
+
+    Given an empty dict, it renames every variable of c. The engine
+    passes the unifier of a call and c's head as written, so a variable
+    that the unifier binds gets no fresh variable.
     """
-    named = [v for v in c.variables if not v.is_anonymous]
-    if not any(v.name in avoid for v in named):
-        return {v: Variable(v.name) for v in c.variables}, first
-    while any(derive(v.name, first, style) in avoid for v in named):
-        first += 1
-    return {v: Variable(v.name if v.is_anonymous
-                        else derive(v.name, first, style))
-            for v in c.variables}, first + 1
+    moved = not c.names.isdisjoint(avoid)
+    if moved:
+        while any(derive(n, first, style) in avoid for n in c.names):
+            first += 1
+    for v in c.variables:
+        if v not in bindings:
+            bindings[v] = Variable(derive(v.name, first, style)
+                                   if moved and not v.is_anonymous
+                                   else v.name)
+    return first + 1 if moved else first

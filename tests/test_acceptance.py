@@ -223,7 +223,8 @@ def test_criterion_07_unifier_properties():
                                    for _ in range(rng.randint(1, 3))))
         clause = Clause(head)
         avoid = frozenset(rng.sample(("X", "Y", "X'", "Y'"), rng.randint(0, 4)))
-        fresh, _ = rename_clause(clause, avoid, 1, "prime")
+        fresh = {}
+        rename_clause(clause, avoid, 1, "prime", fresh)
         old, new = clause.variables, tuple(fresh.values())
         assert not set(old) & set(new)
         assert all(v.name == "_" or v.name not in avoid for v in new)

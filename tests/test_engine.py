@@ -559,6 +559,30 @@ def test_no_variable_of_a_parsed_clause_enters_the_tree():
     assert checked > 500 and clause_vars_seen > 50 and answers_seen > 50
 
 
+def test_a_step_binds_the_call_variables_to_resolved_values():
+    # the clause variable the unifier binds gets no fresh variable, and
+    # shows nowhere: not in the child, its label or its step
+    program = parse_program("p(X, X) :- q(X).")
+    (child,), ((step, _, _),) = expand(
+        SearchNode(parse_query("p(a, B)")), program)
+    assert seq_text(child.goals) == "q(a)"
+    assert [(v.name, term_text(t)) for v, t in step] == [("B", "a")]
+    seen = tree_variables(child).union(
+        *[{v, *variables_of(t)} for v, t in step])
+    assert "X" not in {v.name for v in seen}
+    # an unbound one gets a fresh variable, which the step's value and
+    # the child's goal share
+    program = parse_program("p(f(Y)) :- q(Y).")
+    (y,) = program.clauses[0].variables
+    (child,), ((step, _, _),) = expand(
+        SearchNode(parse_query("p(Z), r(Y)")), program,
+        EngineOptions(rename="numeric"))
+    ((z, value),) = step
+    assert (z.name, term_text(value)) == ("Z", "f(Y1)")
+    assert seq_text(child.goals) == "q(Y1),r(Y)"
+    assert child.goals[0].term.args[0] is value.args[0] is not y
+
+
 def top_level_clash(call, head) -> bool:
     """Whether two top-level arguments of call and head, neither of them
     a variable, differ in kind, atom name, integer value, or functor or
@@ -597,26 +621,38 @@ def record_tries(monkeypatch) -> list:
 def test_each_clause_tried_is_unified_once(monkeypatch):
     events = record_tries(monkeypatch)
     program = parse_program((DB / "perm.pl").read_text(encoding="utf-8"))
-    tree = build_tree(program, parse_query("perm([a,b,c], P)"))
-    # nodes are expanded in DFS pre-order, all of a node's clauses at once
-    want = []
-    clashes = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.children and isinstance(node.goals[0], Call):
-            call = node.goals[0].term
-            for c in program.clauses_for(indicator(call)):
-                if top_level_clash(call, c.head):
-                    clashes += 1
-                    continue
-                if c.variables:
-                    want.append(("rename", c))
-                want.append(("unify", call, c.head))
-        stack.extend(reversed(node.children))
-    assert len(solutions(tree)) == 6
-    assert clashes > 0 and want
-    assert events == want
+    clashes = failed = ground = 0
+    # sel(c, [a,b,c], R)'s first clause passes the key check, and fails
+    # to unify, below perm([a,b,c], [c,a,b])
+    for query, count in (("perm([a,b,c], P)", 6),
+                         ("perm([a,b,c], [c,a,b])", 1)):
+        events.clear()
+        tree = build_tree(program, parse_query(query))
+        # nodes are expanded in DFS pre-order, all of a node's clauses at once
+        want = []
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.children and isinstance(node.goals[0], Call):
+                call = node.goals[0].term
+                for c, child in zip(program.clauses_for(indicator(call)),
+                                    node.children):
+                    if top_level_clash(call, c.head):
+                        clashes += 1
+                        continue
+                    # the head as written; the clause is renamed only
+                    # after it unifies, and only if it has variables
+                    want.append(("unify", call, c.head))
+                    if child.status is FAIL:
+                        failed += 1
+                    elif c.variables:
+                        want.append(("rename", c))
+                    else:
+                        ground += 1
+            stack.extend(reversed(node.children))
+        assert len(solutions(tree)) == count
+        assert want and events == want
+    assert clashes > 0 and failed > 0 and ground > 0
 
 
 def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
@@ -629,7 +665,7 @@ def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
     matching = [c for c in program.clauses if c.head.args[0].value == 3]
     assert len(matching) == n // 5
     assert events == [e for c in matching
-                      for e in (("rename", c), ("unify", call, c.head))]
+                      for e in (("unify", call, c.head), ("rename", c))]
     assert [c.status for c in tree.root.children] == \
         [SUCCESS if i % 5 == 3 else FAIL for i in range(n)]
     assert answers(tree) == [f"A = {c.head.args[1].functor}(X), B = X"
@@ -640,7 +676,7 @@ def test_a_bound_first_argument_unifies_only_the_matching_facts(monkeypatch):
     call = tree.root.goals[0].term
     matching = program.clauses[::2]
     assert events == [e for c in matching
-                      for e in (("rename", c), ("unify", call, c.head))]
+                      for e in (("unify", call, c.head), ("rename", c))]
     assert [c.status for c in tree.root.children] == \
         [FAIL if i % 2 else SUCCESS for i in range(n)]
     assert answers(tree) == [f"A = {i % 5}, B = 1" for i in range(0, n, 2)]

@@ -768,7 +768,8 @@ def copying_child(clause, call, floor, style):
     None on a clash, the cyclic-term message, or the child's goal text,
     label lines, bindings and floor."""
     avoid = frozenset(v.name for v in variables_of(call) if not v.is_anonymous)
-    fresh, floor = rename_clause(clause, avoid, floor, style)
+    fresh = {}
+    floor = rename_clause(clause, avoid, floor, style, fresh)
     sigma = unify(call, resolve(clause.head, fresh, {}))
     if sigma is None:
         return None

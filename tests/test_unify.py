@@ -176,7 +176,8 @@ def first_clause(src):
 
 def test_renaming_a_fact_keeps_display_names():
     c = first_clause("member(X, [X|_]).")
-    fresh, floor = rename_clause(c, frozenset(), 1, "prime")
+    fresh = {}
+    floor = rename_clause(c, frozenset(), 1, "prime", fresh)
     assert floor == 1  # no collision, generation not consumed
     old = c.variables
     assert list(fresh) == list(old)
@@ -187,7 +188,8 @@ def test_renaming_a_fact_keeps_display_names():
 
 def test_renaming_moves_all_named_variables_on_any_collision():
     c = first_clause("member(X, [_|L]) :- member(X, L).")
-    fresh, floor = rename_clause(c, {"X"}, 1, "prime")
+    fresh = {}
+    floor = rename_clause(c, {"X"}, 1, "prime", fresh)
     assert floor == 2
     names = {w.name for w in fresh.values()}
     assert names == {"X'", "L'", "_"}
@@ -195,21 +197,24 @@ def test_renaming_moves_all_named_variables_on_any_collision():
 
 def test_renaming_skips_colliding_generations():
     c = first_clause("p(X) :- q(X).")
-    fresh, floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime")
+    fresh = {}
+    floor = rename_clause(c, {"X", "X'", "X''"}, 1, "prime", fresh)
     assert fresh[c.variables[0]].name == "X'''"
     assert floor == 4
 
 
 def test_renaming_starts_at_the_floor():
     c = first_clause("p(X) :- q(X).")
-    fresh, floor = rename_clause(c, {"X"}, 3, "prime")
+    fresh = {}
+    floor = rename_clause(c, {"X"}, 3, "prime", fresh)
     assert fresh[c.variables[0]].name == "X'''"
     assert floor == 4
 
 
 def test_numeric_rename_style():
     c = first_clause("descend(X,Y) :- child(X,Z), descend(Z,Y).")
-    fresh, floor = rename_clause(c, {"Z"}, 1, "numeric")
+    fresh = {}
+    floor = rename_clause(c, {"Z"}, 1, "numeric", fresh)
     names = [fresh[w].name for w in c.variables]
     assert names == ["X1", "Y1", "Z1"]
     assert floor == 2
@@ -217,7 +222,8 @@ def test_numeric_rename_style():
 
 def test_renaming_is_a_bijection_on_occurrences():
     c = first_clause("append([H|T], L2, [H|L3]) :- append(T, L2, L3).")
-    fresh, _ = rename_clause(c, {"H"}, 1, "prime")
+    fresh = {}
+    rename_clause(c, {"H"}, 1, "prime", fresh)
     head = resolve(c.head, fresh, {})
     head_h = head.args[0].args[0]
     out_h = head.args[2].args[0]
@@ -228,7 +234,8 @@ def test_renaming_is_a_bijection_on_occurrences():
 
 def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
     c = first_clause("p(_, _, X).")
-    fresh, _ = rename_clause(c, {"X"}, 1, "prime")
+    fresh = {}
+    rename_clause(c, {"X"}, 1, "prime", fresh)
     a, b, x = (fresh[w] for w in c.head.args)
     assert a.name == "_" and b.name == "_" and a != b
     assert x.name == "X'"
@@ -236,20 +243,35 @@ def test_renamed_anonymous_variables_stay_anonymous_and_fresh():
 
 def test_renamed_clause_shares_no_variables_with_original():
     c = first_clause("p(X, Y) :- q(X), r(Y).")
-    fresh, _ = rename_clause(c, frozenset(), 1, "prime")
+    fresh = {}
+    rename_clause(c, frozenset(), 1, "prime", fresh)
     assert not set(c.variables) & set(fresh.values())
 
 
 def test_a_clause_without_variables_gets_no_fresh_variables():
     c = first_clause("p(a, [b]) :- q(c), \\+ r.")
-    fresh, floor = rename_clause(c, {"X"}, 3, "prime")
+    fresh = {}
+    floor = rename_clause(c, {"X"}, 3, "prime", fresh)
     assert fresh == {}
     assert floor == 3
 
 
+def test_a_bound_variable_gets_no_fresh_one_and_still_chooses_the_generation():
+    c = first_clause("p(X, Y) :- q(Y).")
+    x, y = c.variables
+    bindings = {x: Atom("a")}
+    # X's name alone collides, and Y moves with it
+    floor = rename_clause(c, {"X"}, 1, "prime", bindings)
+    assert floor == 2
+    assert bindings[x] is Atom("a")
+    assert list(bindings) == [x, y]
+    assert bindings[y].name == "Y'" and bindings[y] is not y
+
+
 def test_unify_starts_from_the_given_bindings():
     c = first_clause("p(X, Y) :- q(Y).")
-    fresh, _ = rename_clause(c, frozenset(), 1, "prime")
+    fresh = {}
+    rename_clause(c, frozenset(), 1, "prime", fresh)
     a = v("A")
     sigma = unify(Compound("p", (a, Atom("b"))), c.head, fresh)
     x, y = (fresh[w] for w in c.variables)
