@@ -25,11 +25,13 @@ in one dict. At a success leaf it resolves the query variables through
 that dict. No node carries the answer so far, so the build is linear in
 the tree.
 
-There is no occurs check, so a unifier can hold a cyclic value. A child
-whose goals, label or step meet one is built again with the clause
-renamed in full first and its step kept triangular: a cyclic value in
-its goals or label raises CyclicTermError there, and one that only its
-step holds raises only at a success leaf that needs it.
+There is no occurs check, so a unifier can hold a cyclic value; the
+map builds that child too. A cyclic value in its goals or label raises
+CyclicTermError there, naming the variable as the renamed clause shows
+it. One that only an anonymous variable of the call reaches binds that
+variable, in the step, to a stand-in bound inside itself, so only a
+success leaf that needs it raises, and a branch that fails has no answer
+and no error.
 
 A cut names the depth, on the DFS path, of the node whose choice point
 it commits: a call at depth d stamps d on the cuts of its clause bodies,
@@ -53,7 +55,7 @@ import gc
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count, islice
+from itertools import count
 from string import ascii_uppercase
 
 from .errors import (CyclicTermError, InstantiationError,
@@ -62,10 +64,11 @@ from .kb import (Call, Compare, Cut, Disjunction, FailGoal, GoalSeq,
                  Negation, Program, TrueGoal, goal_text, goal_variables)
 from .terms import (Compound, Integer, Term, Variable, indicator, term_text,
                     variables_of)
-from .unify import RENAME_STYLES, rename_clause, resolve, unify
+from .unify import RENAME_STYLES, rename_clause, resolve, stand_in, unify
 
-# a step's bindings, as (variable, value) pairs: the call's variables
-# and their resolved values (triangular where a value is cyclic)
+# a step's bindings, as (variable, value) pairs: the call's bound
+# variables and their resolved values, where a cyclic value is a stand-in
+# bound inside itself (see _Builder._clause_child)
 Step = tuple[tuple[Variable, Term], ...]
 
 
@@ -468,15 +471,18 @@ class _Builder:
         variables they put into them. The step binds each bound variable
         of the call to its resolved value, the label's where it has one.
 
-        A value that is cyclic (there is no occurs check) is left to
-        _cyclic_child."""
+        A cyclic value (there is no occurs check) met in the goals or the
+        label raises CyclicTermError, naming the variable as the renamed
+        clause shows it. One met only in the value of an anonymous
+        variable of the call is left, as a stand-in, to the success
+        leaves that need it."""
         sigma = unify(call.term, clause.head)
         if sigma is None:
             return _FAIL_LEAF, ((), None, floor)
         first = floor
+        style = self.options.rename
         if clause.variables:
-            floor = rename_clause(clause, self.path, floor,
-                                  self.options.rename, sigma)
+            floor = rename_clause(clause, self.path, floor, style, sigma)
         # cuts in `rest` outside a negation are scoped already
         memo: dict[Variable, Term] = {}
         names: set[str] = set()
@@ -484,44 +490,23 @@ class _Builder:
             goals = _rewrite(clause.body + rest, depth, sigma, memo, names)
             label = tuple([(v, resolve(v, sigma, memo, names))
                            for v in shown if v in sigma])
-            # last: a walk without `names` leaves memo entries whose
-            # names a later walk that collects them would miss
-            step = label + tuple([(v, resolve(v, sigma, memo))
-                                  for v in hidden if v in sigma])
-        except CyclicTermError:
-            return self._cyclic_child(call, shown, rest, clause, depth, first)
+        except CyclicTermError as e:
+            raise CyclicTermError(
+                stand_in(e.variable, clause, first, floor, style)) from None
+        # last, one at a time: a walk without `names` leaves memo entries
+        # whose names a later walk that collects them would miss
+        step = label
+        for v in hidden:
+            if v in sigma:
+                try:
+                    step += ((v, resolve(v, sigma, memo)),)
+                except CyclicTermError as e:
+                    # every resolution of c's value meets c again and
+                    # raises, so no tree, label or answer holds it
+                    c = stand_in(e.variable, clause, first, floor, style)
+                    step += ((v, c), (c, Compound("cyclic", (c,))))
         names.update([v.name for v, _ in label])
         names.discard("_")
-        return SearchNode(goals, label=EdgeLabel(label)), (step, names, floor)
-
-    def _cyclic_child(self, call: Call, shown: list[Variable],
-                      rest: GoalSeq, clause, depth: int, floor: int
-                      ) -> tuple[SearchNode, Kid]:
-        """_clause_child's result where a value of the child is cyclic.
-
-        The clause is renamed in full first, as unify's starting
-        bindings, so every clause variable the unifier binds has a fresh
-        stand-in, and the step keeps the bindings triangular, renamed
-        apart from the clause. A cyclic value in the goals or the label
-        raises CyclicTermError here, naming the renamed variable. One
-        that only the call's anonymous variables reach raises only at a
-        success leaf that needs it, so a branch that fails has no answer
-        and no error."""
-        fresh: dict[Variable, Term] = {}
-        floor = rename_clause(clause, self.path, floor, self.options.rename,
-                              fresh)
-        sigma = unify(call.term, clause.head, fresh)
-        memo: dict[Variable, Term] = {}
-        names: set[str] = set()
-        goals = _rewrite(clause.body + rest, depth, sigma, memo, names)
-        label = tuple([(v, resolve(v, sigma, memo, names))
-                       for v in shown if v in sigma])
-        names.update([v.name for v, _ in label])
-        names.discard("_")
-        # unify() copies `fresh` first, so the step's bindings follow it
-        renamed: dict[Variable, Term] = {}
-        step = tuple([(v, t if t.ground else resolve(t, fresh, renamed))
-                      for v, t in islice(sigma.items(), len(fresh), None)])
         return SearchNode(goals, label=EdgeLabel(label)), (step, names, floor)
 
 

@@ -10,8 +10,14 @@ class CyclicTermError(PrologError):
 
     Unification runs without an occurs-check, so a binding like X -> f(X)
     can be created; it only becomes an error when something tries to
-    resolve a term through it.
+    resolve a term through it. `variable` is the one met inside its own
+    value, and the message names it.
     """
+
+    def __init__(self, variable) -> None:
+        super().__init__(
+            f"cyclic term: {variable.name} is bound inside its own value")
+        self.variable = variable
 
 
 class InstantiationError(PrologError):

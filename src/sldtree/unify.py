@@ -100,27 +100,20 @@ def resolve(t: Term, bindings: Mapping[Variable, Term],
                 todo += (item,), value
             elif memo is item:
                 resolved.clear()  # drops the open marks
-                raise CyclicTermError(
-                    f"cyclic term: {item.name} is bound inside its own value")
+                raise CyclicTermError(item)
             else:
                 done.append(memo)
     return done[0]
 
 
-def unify(t1: Term, t2: Term,
-          bindings: Mapping[Variable, Term] | None = None
-          ) -> dict[Variable, Term] | None:
+def unify(t1: Term, t2: Term) -> dict[Variable, Term] | None:
     """Most general unifier of t1 and t2 as triangular bindings, or None.
 
     No occurs-check: unify(X, f(X)) succeeds with a cyclic binding.
     When both sides are variables the left one is bound, so callers
-    passing (goal, clause head) get goal-variable-first bindings.
-    `bindings`, if given, are the triangular bindings to start from and
-    are not changed, and the result holds them too. The engine unifies
-    a call with a clause's head as written, from no bindings, and
-    renames afterwards only what stays unbound (see rename_clause); it
-    passes a clause's full renaming this way only to rebuild a child
-    whose values are cyclic.
+    passing (goal, clause head) get goal-variable-first bindings. The
+    engine unifies a call with a clause's head as written, and renames
+    afterwards only what stays unbound (see rename_clause).
 
     Pairs are unified breadth first, in one loop over a list that grows
     by the argument pairs of each compound pair decomposed. The argument
@@ -128,11 +121,7 @@ def unify(t1: Term, t2: Term,
     pairs decomposed, which stops a cyclic term from looping, is made
     only when a compound pair is met below them.
     """
-    bindings = dict(bindings) if bindings else {}
-    while isinstance(t1, Variable) and t1 in bindings:
-        t1 = bindings[t1]
-    while isinstance(t2, Variable) and t2 in bindings:
-        t2 = bindings[t2]
+    bindings: dict[Variable, Term] = {}
     if isinstance(t1, Compound) and isinstance(t2, Compound) and t1 is not t2:
         if t1.functor != t2.functor or len(t1.args) != len(t2.args):
             return None
@@ -193,7 +182,24 @@ def rename_clause(c: Clause, avoid: AbstractSet[str], first: int,
             first += 1
     for v in c.variables:
         if v not in bindings:
-            bindings[v] = Variable(derive(v.name, first, style)
-                                   if moved and not v.is_anonymous
-                                   else v.name)
+            bindings[v] = Variable(_renamed(v, moved, first, style))
     return first + 1 if moved else first
+
+
+def _renamed(v: Variable, moved: bool, k: int, style: str) -> str:
+    """The display name of v, a variable of a clause that moved, or did
+    not, to generation k: anonymous variables stay '_'."""
+    return derive(v.name, k, style) if moved and not v.is_anonymous else v.name
+
+
+def stand_in(w: Variable, c: Clause, first: int, floor: int,
+             style: str) -> Variable:
+    """A fresh variable for w, named as c's renaming shows it.
+
+    rename_clause, given `first`, returned `floor`, so c moved, to
+    generation floor - 1, exactly when the two differ. Then a variable of
+    c takes that generation's name; a variable of the call keeps its own.
+    The engine names a variable met inside its own value this way.
+    """
+    moved = floor != first and w in c.variables
+    return Variable(_renamed(w, moved, floor - 1, style))

@@ -173,6 +173,21 @@ def test_a_cyclic_value_only_an_answer_reaches_is_an_error(tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rename, name", [("prime", "X'"),
+                                          ("numeric", "X1")])
+def test_a_cyclic_goal_names_the_variable_as_the_renamed_clause_does(
+        tmp_path, rename, name):
+    # the query's X is bound to the clause's X, and that to f(X): q(X)
+    # meets the cycle. The query shows X, so the clause's X is renamed
+    db = tmp_path / "cyc.pl"
+    db.write_text("p(X, X) :- q(X).\nq(_).\n", encoding="utf-8")
+    code, out, err = invoke(RunConfig(db=str(db), query="p(X, f(X))",
+                                      rename=rename))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: cyclic term: {name} is bound inside its own value\n"
+
+
 def test_unifying_a_variable_with_its_own_image_terminates(tmp_path):
     db = tmp_path / "eq.pl"
     db.write_text("eq(A,A).\n", encoding="utf-8")

@@ -18,11 +18,12 @@ with it among them. unify() must also bind
 the same variables to the same terms, in the same order, as its earlier
 queue-only form. The reader's pattern tokenizer must agree with the
 character loop it replaced. expand() on one clause, renamed through the
-unifier's starting bindings, must agree with renaming a copy of the
+call's unifier with its head, must agree with renaming a copy of the
 clause first. On generated programs with
 variables, the answers the build resolves at the success leaves must
 equal those of an answer kept on every node and mapped through each
-step's unifier, a cyclic one raising in both, and two query variables
+step's unifier, a cyclic one raising in both, each call node's children
+must follow its clauses in source order, and two query variables
 must print as aliases exactly when they share one unbound value, and at
 each clause tried the builder's path set must hold exactly the names
 shown from the root down to the node it expands, and the names it
@@ -479,11 +480,11 @@ def test_the_candidates_are_the_heads_that_clash_nowhere(case):
 
 # -- unify against its queue-only form ---------------------------------------
 
-def queue_unify(t1, t2, bindings=None):
+def queue_unify(t1, t2):
     """unify() as it was before it took the top-level argument pairs in
     one loop, kept as the oracle: every pair, the top one too, goes
     through one queue."""
-    bindings = dict(bindings or ())
+    bindings = {}
     decomposed = set()
     queue = deque([(t1, t2)])
     while queue:
@@ -510,7 +511,7 @@ def queue_unify(t1, t2, bindings=None):
 
 
 # shared named variables, two distinct anonymous ones, and variables that
-# the starting bindings never bind, so no chain of variables loops
+# u_bindings never binds, so no chain of variables loops
 U_BOUND = (Variable("X"), Variable("Y"), Variable("_"), Variable("_"))
 U_FREE = (Variable("A"), Variable("B"))
 u_terms = st.recursive(
@@ -551,18 +552,19 @@ def _same_bindings(got, want):
 G, H = Compound("g", (U_BOUND[0], U_FREE[0])), Compound("f", (U_BOUND[1],))
 
 
+# the cyclic examples bind X -> f(X), or Y -> f(Y), with their first
+# pair, and the pairs after it meet that binding; the second example's
+# two f(X) are two objects
 @settings(max_examples=500, deadline=None)
-@given(u_sides(), u_sides(), u_bindings)
-@example(Compound("t", (G, G, H)), Compound("t", (H, H, G)), {})
-@example(U_BOUND[0], Compound("f", (U_BOUND[0],)),
-         {U_BOUND[0]: Compound("f", (U_BOUND[0],))})
-@example(Compound("t", (U_BOUND[2], U_BOUND[3], U_BOUND[2])),
-         Compound("t", (U_BOUND[3], U_FREE[0], H)), {U_BOUND[1]: H})
-def test_unify_agrees_with_its_queue_only_form(t1, t2, bindings):
-    start = dict(bindings)
-    assert _same_bindings(unify(t1, t2, bindings),
-                          queue_unify(t1, t2, bindings))
-    assert bindings == start
+@given(u_sides(), u_sides())
+@example(Compound("t", (G, G, H)), Compound("t", (H, H, G)))
+@example(Compound("t", (U_BOUND[0], U_BOUND[0])),
+         Compound("t", (Compound("f", (U_BOUND[0],)),
+                        Compound("f", (U_BOUND[0],)))))
+@example(Compound("t", (U_BOUND[1], U_BOUND[2], U_BOUND[3], U_BOUND[2])),
+         Compound("t", (H, U_BOUND[3], U_FREE[0], H)))
+def test_unify_agrees_with_its_queue_only_form(t1, t2):
+    assert _same_bindings(unify(t1, t2), queue_unify(t1, t2))
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -704,7 +706,7 @@ def test_tokenize_agrees_with_the_character_loop(text):
     assert got == [(t.kind, t.value, t.pos) for t in want]
 
 
-# -- one clause, renamed through the unifier's starting bindings -------------
+# -- one clause, renamed through the unifier, against renaming a copy -------
 
 # apart from the clause's, and with names its renaming can collide with
 CLAUSE_POOL = (Variable("X"), Variable("Y"), Variable("_"), Variable("_"))
@@ -798,6 +800,11 @@ CX, CY = CLAUSE_POOL[:2]
 @example(Clause(Compound("p", (CX, CX))),
          Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)))), 1,
          "prime")
+# only the anonymous _ is bound inside its own value, and the clause
+# moves: the stand-in the step binds it to shows the renamed name, X'
+@example(Clause(Compound("p", (CX, CX, CY))),
+         Compound("p", (CALL_POOL[4], Compound("f", (CALL_POOL[4],)),
+                        CALL_POOL[0])), 1, "prime")
 def test_expand_agrees_with_renaming_by_copying(clause, call, floor, style):
     node = SearchNode((Call(call),))
     want = copying_child(clause, call, floor, style)
@@ -950,6 +957,28 @@ def test_answers_resolved_at_the_leaves_agree_with_a_per_node_map(
         return
     want = answers_by_mapping(tree.root, tree.query_vars, caught.mgus)
     assert [(a.bindings, a.path) for a in solutions(tree)] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(var_programs, var_queries)
+def test_a_call_node_has_its_clause_children_in_source_order(program, query):
+    try:
+        tree = build_tree(program, query, Limits(max_depth=6, max_nodes=300))
+    except CyclicTermError:
+        return
+    for node in _call_nodes(tree):
+        call = node.goals[0].term
+        clauses = program.clauses_for(indicator(call))
+        if not clauses:
+            assert node.children == [engine._FAIL_LEAF]
+            continue
+        assert len(node.children) == len(clauses)
+        for clause, child in zip(clauses, node.children):
+            assert (child is engine._FAIL_LEAF) == (
+                unify(call, clause.head) is None)
+            if child is not engine._FAIL_LEAF:
+                assert len(child.goals) == (len(clause.body)
+                                            + len(node.goals) - 1)
 
 
 def alias_classes(text, query_names):

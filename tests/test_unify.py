@@ -6,7 +6,7 @@ from sldtree.errors import CyclicTermError
 from sldtree.reader import parse_program, parse_term
 from sldtree.terms import (Atom, Compound, Integer, Variable, term_text,
                            variables_of)
-from sldtree.unify import derive, rename_clause, resolve, unify
+from sldtree.unify import derive, rename_clause, resolve, stand_in, unify
 
 
 def v(name):
@@ -80,6 +80,16 @@ def test_unify_without_occurs_check_is_cyclic():
     with pytest.raises(CyclicTermError) as info:
         resolve(x, s, {})
     assert "bound inside its own value" in str(info.value)
+
+
+def test_a_cyclic_term_error_carries_the_variable_met_in_its_own_value():
+    # Y -> X -> f(Y): the walk from Y meets X's value inside itself
+    x, y = v("X"), v("Y")
+    s = unify(Compound("g", (y, x)), Compound("g", (x, Compound("f", (y,)))))
+    with pytest.raises(CyclicTermError) as info:
+        resolve(Compound("h", (y,)), s, {})
+    assert info.value.variable is x
+    assert str(info.value) == "cyclic term: X is bound inside its own value"
 
 
 def _sides(text):
@@ -268,18 +278,18 @@ def test_a_bound_variable_gets_no_fresh_one_and_still_chooses_the_generation():
     assert bindings[y].name == "Y'" and bindings[y] is not y
 
 
-def test_unify_starts_from_the_given_bindings():
-    c = first_clause("p(X, Y) :- q(Y).")
-    fresh = {}
-    rename_clause(c, frozenset(), 1, "prime", fresh)
-    a = v("A")
-    sigma = unify(Compound("p", (a, Atom("b"))), c.head, fresh)
-    x, y = (fresh[w] for w in c.variables)
-    # the call variable binds to the fresh one
-    assert resolve(a, sigma, {}) is x
-    assert resolve(c.head, sigma, {}) == Compound("p", (x, Atom("b")))
-    assert resolve(y, sigma, {}) == Atom("b")
-    assert len(fresh) == 2  # the starting bindings are not changed
+def test_a_stand_in_is_named_as_the_renaming_names_its_variable():
+    c = first_clause("p(X, _) :- q(X).")
+    x, anon = c.variables
+    # rename_clause returned 3 from 1: the clause moved to generation 2
+    assert stand_in(x, c, 1, 3, "prime").name == "X''"
+    assert stand_in(x, c, 1, 3, "numeric").name == "X2"
+    assert stand_in(x, c, 1, 3, "prime") is not x
+    assert stand_in(anon, c, 1, 3, "prime").name == "_"
+    # a variable of the call keeps its name, as does one of a clause
+    # that did not move
+    assert stand_in(v("X"), c, 1, 3, "prime").name == "X"
+    assert stand_in(x, c, 2, 2, "prime").name == "X"
 
 
 def test_derive_names_a_generation_in_each_style():
